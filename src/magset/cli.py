@@ -30,8 +30,9 @@ from typing import Optional, Sequence
 
 from .codec import (UnknownSyndromeError, decode, encode, make_code,
                     simulate_channel)
-from .constructions import (OPTIMAL_CASES, build_divisor_piece, construct,
-                            divisor_context, hamming_upper_bound)
+from .constructions import (build_divisor_piece, construct, divisor_context,
+                            hamming_upper_bound)
+from .residues import Instance
 from .search import Budget, SearchCache, default_cache_path, exact_max
 from .verifier import format_witness, is_b1_set
 
@@ -66,14 +67,12 @@ def _positive(text: str) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    q = args.q
-    k = (q & -q).bit_length() - 1
-    r = q >> k
-    if math.gcd(r, 6) != 1:
+    instance = Instance.from_q(args.q)
+    if not instance.coprime_to_six:
         args.parser.error(
-            f"--q {q}: odd part {r} is divisible by 3; "
+            f"--q {args.q}: odd part {instance.r} is divisible by 3; "
             "supported moduli are 2^k * r with gcd(r, 6) = 1")
-    report = construct(q)
+    report = construct(args.q)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
         return 0
@@ -156,13 +155,12 @@ def _table_rows(max_p: int, oracle: bool) -> tuple[list[list[str]], list[list[st
     for p in _primes_in(5, max_p):
         ctx = divisor_context(p)
         piece = build_divisor_piece(p, 2 * p)
-        certified = piece.case in OPTIMAL_CASES
-        size = f"{len(piece.elements)}" if certified else f">={len(piece.elements)}"
+        size = f"{piece.size}" if piece.certified else f">={piece.size}"
         witness = " ".join(str(x) for x in sorted(piece.elements))
         extra: list[str] = []
         if oracle:
             exact = exact_max(2 * p, 4, budget=_CLI_DEFAULT_BUDGET)
-            gap = "TIGHT" if exact.max_size == len(piece.elements) else "GAP"
+            gap = "TIGHT" if exact.max_size == piece.size else "GAP"
             extra = [str(exact.max_size), gap]
         if ctx.two_in_three:
             # In the even-order/odd-shift case the pattern uses neither

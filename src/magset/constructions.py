@@ -22,8 +22,10 @@ module builds such sets of maximum known size for ``q = 2**k * r`` with
   ``q / 8``.  The layer size is exact, so the result is maximum exactly
   when the recursive base is.
 
-Every constructed set -- and every per-divisor piece on its own -- is
-passed through the verifier before being reported; a failure raises
+Every constructed set is passed through the verifier before being
+reported, and so is every ``q = 2r`` pattern piece on its own, at its
+primitive modulus ``2d``; the ``q = 4r`` and eightfold pieces are checked
+only inside the assembled set.  A failure raises
 :class:`ConstructionError` rather than returning a bad set.
 
 Every pattern piece is valid (each one is verified as it is built), but
@@ -298,167 +300,100 @@ def _orbit_exponents(n: int, s: int, m: int, k_prime: int,
 # Cells must be independent in that grid.
 # --------------------------------------------------------------------------
 
+def _row(j: int, parity: int, split: int, start: int,
+         stop: int) -> list[tuple[int, int]]:
+    """Row j of a grid pattern: exponents 2i + parity for i < split, then
+    2i + 1 - parity for start <= i < stop."""
+    return ([(j, 2 * i + parity) for i in range(split)]
+            + [(j, 2 * i + 1 - parity) for i in range(start, stop)])
+
+
 def _grid_cells(n: int, t: int, s: int) -> tuple[str, list[tuple[int, int]]]:
-    """Choose the cell pattern for family B; returns (case label, cells)."""
-    P: list[tuple[int, int]] = []
+    """Choose the cell pattern for family B; returns (case label, cells).
+
+    Rows j < t - 1 follow the run spec ``even`` or ``odd`` by the parity
+    of j, and row t - 1 follows ``last``; a spec is the (parity, split,
+    start, stop) of :func:`_row`.
+    """
+    label, even, odd, last = _grid_case(n, t, s)
+    cells: list[tuple[int, int]] = []
+    for j in range(t - 1):
+        cells += _row(j, *(odd if j % 2 else even))
+    return label, cells + _row(t - 1, *last)
+
+
+def _grid_case(n: int, t: int, s: int) -> tuple[str, tuple, tuple, tuple]:
+    """The case label and the even-row, odd-row and last-row run specs.
+
+    ``evens`` and ``odds`` fill a row with one parity; a spec
+    (1, 0, start, stop) holds only the evens 2i with start <= i < stop.
+    """
+    h = n // 2
+    evens, odds, empty = (0, h, 0, 0), (1, h, 0, 0), (0, 0, 0, 0)
     if n % 2 == 0:
         if t % 2 == 0 and s % 2 == 0:
             # Full alternating rows; size tn/2 meets the in-class optimum.
-            for j in range(0, t, 2):
-                P += [(j, 2 * i) for i in range(n // 2)]
-                P += [(j + 1, 2 * i + 1) for i in range(n // 2)]
-            return "n-even/t-even/s-even", P
+            return "n-even/t-even/s-even", evens, odds, odds
         if t % 2 == 1 and s % 2 == 1:
-            for j in range(0, t, 2):
-                P += [(j, 2 * i) for i in range(n // 2)]
-            for j in range(1, t - 1, 2):
-                P += [(j, 2 * i + 1) for i in range(n // 2)]
-            return "n-even/t-odd/s-odd", P
+            return "n-even/t-odd/s-odd", evens, odds, evens
         if t % 2 == 1:  # s even
-            if s == n // 2 and t < s:
-                for j in range(0, t - 2, 2):
-                    P += [(j, 2 * i) for i in range(s // 2)]
-                    P += [(j, 2 * i + 1) for i in range(s // 2, (n - 2) // 2)]
-                    P += [(j + 1, 2 * i + 1) for i in range(s // 2)]
-                    P += [(j + 1, 2 * i) for i in range((s + 2) // 2, n // 2)]
-                P += [(t - 1, 2 * i) for i in range(s // 2)]
-                P += [(t - 1, 2 * i + 1) for i in range(s // 2, s - 1)]
-                return "n-even/t-odd/s-even/s=n:2", P
-            if t - 1 < s < n // 2:
-                for j in range(0, t - 2, 2):
-                    P += [(j, 2 * i) for i in range(s // 2)]
-                    P += [(j, 2 * i + 1) for i in range(s // 2, (n - 2) // 2)]
-                    P += [(j + 1, 2 * i + 1) for i in range(s // 2)]
-                    P += [(j + 1, 2 * i) for i in range((s + 2) // 2, n // 2)]
-                P += [(t - 1, 2 * i) for i in range(s // 2)]
-                P += [(t - 1, 2 * i + 1) for i in range(s // 2, s)]
-                return "n-even/t-odd/s-even/low-window", P
-            if n // 2 < s < n - t + 1:
-                w = (n - s) // 2
-                for j in range(0, t - 2, 2):
-                    P += [(j, 2 * i) for i in range(w)]
-                    P += [(j, 2 * i + 1) for i in range(w, (n - 2) // 2)]
-                    P += [(j + 1, 2 * i + 1) for i in range(w)]
-                    P += [(j + 1, 2 * i) for i in range(w + 1, n // 2)]
-                P += [(t - 1, 2 * i) for i in range(w)]
-                P += [(t - 1, 2 * i + 1) for i in range((s - 2) // 2,
-                                                        (n - 2) // 2)]
-                return "n-even/t-odd/s-even/high-window", P
-            for j in range(0, t - 2, 2):
-                P += [(j, 2 * i) for i in range(n // 2)]
-                P += [(j + 1, 2 * i + 1) for i in range(n // 2)]
-            return "n-even/t-odd/s-even/outside", P
+            w = min(s, n - s) // 2
+            even, odd = (0, w, w, h - 1), (1, w, w + 1, h)
+            if s == h and t < s:
+                return "n-even/t-odd/s-even/s=n:2", even, odd, (0, w, w, s - 1)
+            if t - 1 < s < h:
+                return "n-even/t-odd/s-even/low-window", even, odd, (0, w, w, s)
+            if h < s < n - t + 1:
+                return ("n-even/t-odd/s-even/high-window", even, odd,
+                        (0, w, (s - 2) // 2, h - 1))
+            return "n-even/t-odd/s-even/outside", evens, odds, empty
         # t even, s odd.  The special windows below each add one or two
         # elements over the generic "outside" fallback; the high window is
         # valid through s = n - t + 1 inclusive (one larger than the
         # fallback there).
-        if s == (n - 2) // 2 and t < n // 2:
-            for j in range(0, t, 2):
-                P += [(j, 2 * i + 1) for i in range(n // 4)]
-                P += [(j, 2 * i) for i in range((n + 4) // 4, n // 2)]
-            for j in range(1, t - 2, 2):
-                P += [(j, 2 * i) for i in range(n // 4)]
-                P += [(j, 2 * i + 1) for i in range(n // 4, (n - 2) // 2)]
-            P += [(t - 1, 2 * i) for i in range(n // 4)]
-            P += [(t - 1, 2 * i + 1) for i in range(n // 4, (n - 2) // 2)]
-            return "n-even/t-even/s-odd/s=(n-2):2", P
-        if s == n // 2 and t < s:
+        if s == (n - 2) // 2 and t < h:
+            w = n // 4
+            odd = (0, w, w, h - 1)
+            return "n-even/t-even/s-odd/s=(n-2):2", (1, w, w + 1, h), odd, odd
+        if s == h and t < s:
             # An even row containing exponent s would collide across the
             # wrap edge (0, s) ~ (t-1, 2s = 0 mod n), so the even-row
             # pattern sits one step lower (odds below s-1, evens from s+1);
             # every row still holds (n-2)/2 cells.
-            for j in range(0, t, 2):
-                P += [(j, 2 * i + 1) for i in range((s - 1) // 2)]
-                P += [(j, 2 * i) for i in range((s + 1) // 2, n // 2)]
-            for j in range(1, t - 2, 2):
-                P += [(j, 2 * i) for i in range((s + 1) // 2)]
-                P += [(j, 2 * i + 1) for i in range((s + 1) // 2, (n - 2) // 2)]
-            P += [(t - 1, 2 * i) for i in range((s + 1) // 2)]
-            P += [(t - 1, 2 * i + 1) for i in range((s + 1) // 2, (n - 2) // 2)]
-            return "n-even/t-even/s-odd/s=n:2", P
-        if s == (n + 2) // 2 and t < n // 2:
+            w = (s + 1) // 2
+            odd = (0, w, w, h - 1)
+            return "n-even/t-even/s-odd/s=n:2", (1, w - 1, w, h), odd, odd
+        if s == (n + 2) // 2 and t < h:
             # The wrap pairs exponent n-1 of row t-1 with exponent 0 of
             # row 0, which forces the two row patterns to take opposite
             # phases (evens-first on even rows, odds-first on odd rows).
-            for j in range(0, t, 2):
-                P += [(j, 2 * i) for i in range(n // 4)]
-                P += [(j, 2 * i + 1) for i in range(n // 4, (n - 2) // 2)]
-            for j in range(1, t - 2, 2):
-                P += [(j, 2 * i + 1) for i in range(n // 4)]
-                P += [(j, 2 * i) for i in range((n + 4) // 4, n // 2)]
-            P += [(t - 1, 2 * i + 1) for i in range(n // 4)]
-            P += [(t - 1, 2 * i) for i in range((n + 4) // 4, n // 2)]
-            return "n-even/t-even/s-odd/s=(n+2):2", P
+            w = n // 4
+            odd = (1, w, w + 1, h)
+            return "n-even/t-even/s-odd/s=(n+2):2", (0, w, w, h - 1), odd, odd
         if t - 2 < s < (n - 2) // 2:
-            for j in range(0, t, 2):
-                P += [(j, 2 * i + 1) for i in range((s + 1) // 2)]
-                P += [(j, 2 * i) for i in range((s + 3) // 2, n // 2)]
-            for j in range(1, t - 2, 2):
-                P += [(j, 2 * i) for i in range((s + 1) // 2)]
-                P += [(j, 2 * i + 1) for i in range((s + 1) // 2, (n - 2) // 2)]
-            P += [(t - 1, 2 * i) for i in range((s + 1) // 2)]
-            P += [(t - 1, 2 * i + 1) for i in range((s + 1) // 2, s + 1)]
-            return "n-even/t-even/s-odd/low-window", P
+            w = (s + 1) // 2
+            return ("n-even/t-even/s-odd/low-window", (1, w, w + 1, h),
+                    (0, w, w, h - 1), (0, w, w, s + 1))
         if (n + 2) // 2 < s < n - t + 2:
             w = (n - s + 1) // 2
-            for j in range(0, t, 2):
-                P += [(j, 2 * i) for i in range(w)]
-                P += [(j, 2 * i + 1) for i in range(w, (n - 2) // 2)]
-            for j in range(1, t - 2, 2):
-                P += [(j, 2 * i + 1) for i in range(w)]
-                P += [(j, 2 * i) for i in range(w + 1, n // 2)]
-            P += [(t - 1, 2 * i + 1) for i in range(w)]
-            P += [(t - 1, 2 * i) for i in range((s - 1) // 2, n // 2)]
-            return "n-even/t-even/s-odd/high-window", P
-        for j in range(0, t, 2):
-            P += [(j, 2 * i) for i in range(n // 2)]
-        for j in range(1, t - 2, 2):
-            P += [(j, 2 * i + 1) for i in range(n // 2)]
-        return "n-even/t-even/s-odd/outside", P
-    # n odd
+            return ("n-even/t-even/s-odd/high-window", (0, w, w, h - 1),
+                    (1, w, w + 1, h), (1, w, (s - 1) // 2, h))
+        return "n-even/t-even/s-odd/outside", evens, odds, empty
+    # n odd: h = (n - 1) / 2 cells fill a row
     if t % 2 == 1:
         if s == 1:
-            for j in range(0, t, 2):
-                P += [(j, 2 * i) for i in range((n - 1) // 2)]
-            for j in range(1, t - 1, 2):
-                P += [(j, 2 * i + 1) for i in range((n - 1) // 2)]
-            return "n-odd/t-odd/s=1", P
+            return "n-odd/t-odd/s=1", evens, odds, evens
         if s % 2 == 1:
-            for j in range(0, t - 2, 2):
-                P += [(j, 2 * i) for i in range((n - 1) // 2)]
-                P += [(j + 1, 2 * i + 1) for i in range((n - 1) // 2)]
-            P += [(t - 1, 2 * i) for i in range((s - 1) // 2, (n - 1) // 2 + 1)]
-            return "n-odd/t-odd/s-odd>1", P
+            return "n-odd/t-odd/s-odd>1", evens, odds, (1, 0, (s - 1) // 2, h + 1)
         if s == 0:
-            for j in range(0, t - 2, 2):
-                P += [(j, 2 * i) for i in range((n - 1) // 2)]
-                P += [(j + 1, 2 * i + 1) for i in range((n - 1) // 2)]
-            P += [(t - 1, n - 1)]
-            return "n-odd/t-odd/s=0", P
-        for j in range(0, t - 2, 2):
-            P += [(j, 2 * i) for i in range((n - 1) // 2)]
-            P += [(j + 1, 2 * i + 1) for i in range((n - 1) // 2)]
-        P += [(t - 1, 2 * i) for i in range(s // 2)]
-        return "n-odd/t-odd/s-even>0", P
+            return "n-odd/t-odd/s=0", evens, odds, (1, 0, h, h + 1)
+        return "n-odd/t-odd/s-even>0", evens, odds, (0, s // 2, 0, 0)
     # t even
     if s % 2 == 1:
-        for j in range(0, t, 2):
-            P += [(j, 2 * i + 1) for i in range((n - 1) // 2)]
-        for j in range(1, t - 2, 2):
-            P += [(j, 2 * i) for i in range((n - 1) // 2)]
-        P += [(t - 1, 2 * i) for i in range((s + 1) // 2)]
-        return "n-odd/t-even/s-odd", P
+        return "n-odd/t-even/s-odd", odds, evens, (0, (s + 1) // 2, 0, 0)
     if s == 0:
-        for j in range(0, t, 2):
-            P += [(j, 2 * i + 1) for i in range((n - 1) // 2)]
-            P += [(j + 1, 2 * i) for i in range((n - 1) // 2)]
-        return "n-odd/t-even/s=0", P
-    for j in range(0, t, 2):
-        P += [(j, 2 * i + 1) for i in range((n - 1) // 2)]
-    for j in range(1, t - 2, 2):
-        P += [(j, 2 * i) for i in range((n - 1) // 2)]
-    P += [(t - 1, 2 * i) for i in range(s // 2, (n - 1) // 2 + 1)]
-    return "n-odd/t-even/s-even>0", P
+        return "n-odd/t-even/s=0", odds, evens, evens
+    return "n-odd/t-even/s-even>0", odds, evens, (1, 0, s // 2, h + 1)
 
 
 #: Case labels whose pattern size is the proven in-class maximum.  All
@@ -547,6 +482,35 @@ def _verify_or_raise(elements, q: int, what: str) -> bool:
     return True
 
 
+def _instance(k: int, r: int) -> Instance:
+    """The instance q = 2**k * r, lam = 4, for an odd r coprime to 6."""
+    if r < 1 or r % 2 == 0 or math.gcd(r, 6) != 1:
+        raise ConstructionError(f"need odd r with gcd(r, 6) = 1, got r={r}")
+    return Instance((1 << k) * r, k, r, 4)
+
+
+def _assemble(instance: Instance, pieces: list[Piece], tight: bool,
+              base: Optional[ConstructionReport] = None) -> ConstructionReport:
+    """Unite the pieces (and 8 * base), check they are disjoint, verify
+    the union and report it."""
+    q = instance.q
+    parts = [p.elements for p in pieces]
+    if base is not None:
+        parts.append(frozenset(8 * x % q for x in base.elements))
+    elements = frozenset().union(*parts)
+    if len(elements) != sum(len(part) for part in parts):
+        raise ConstructionError(f"pieces overlap at q={q}")
+    return ConstructionReport(
+        instance=instance,
+        elements=elements,
+        pieces=tuple(pieces),
+        upper_bound=hamming_upper_bound(q, 4),
+        verified=_verify_or_raise(elements, q, f"assembled set for q={q}"),
+        tight=tight,
+        base=base,
+    )
+
+
 # --------------------------------------------------------------------------
 # q = 2r
 # --------------------------------------------------------------------------
@@ -623,10 +587,8 @@ def build_twice_odd(r: int, *, refine: bool = True,
     ``tight`` is True when every divisor class is certified, making the
     total provably maximum.
     """
-    if r < 1 or r % 2 == 0 or math.gcd(r, 6) != 1:
-        raise ConstructionError(f"need odd r with gcd(r, 6) = 1, got r={r}")
-    q = 2 * r
-    instance = Instance(q, 1, r, 4)
+    instance = _instance(1, r)
+    q = instance.q
     pieces: list[Piece] = []
     for d in divisors(r):
         if d == 1:
@@ -645,23 +607,30 @@ def build_twice_odd(r: int, *, refine: bool = True,
             elif sub.exact:
                 piece = Piece(d, piece.case, piece.elements, True)
         pieces.append(piece)
-    elements = frozenset().union(*(p.elements for p in pieces))
-    if len(elements) != sum(p.size for p in pieces):
-        raise ConstructionError(f"divisor pieces overlap at q={q}")
-    verified = _verify_or_raise(elements, q, f"assembled set for q={q}")
-    return ConstructionReport(
-        instance=instance,
-        elements=elements,
-        pieces=tuple(pieces),
-        upper_bound=hamming_upper_bound(q, 4),
-        verified=verified,
-        tight=all(p.certified for p in pieces),
-    )
+    return _assemble(instance, pieces, all(p.certified for p in pieces))
 
 
 # --------------------------------------------------------------------------
 # q = 4r
 # --------------------------------------------------------------------------
+
+def _orbit_layer(q: int, modulus: int, rd: int, n: int, twist: int,
+                 odd_from: int) -> frozenset[int]:
+    """One divisor's orbit piece mod q: for each representative a of the
+    cosets of <3> mod ``modulus`` and alpha = a * rd, the even powers
+    3**(2i) * alpha for i < n when the order n is odd; when n is even,
+    those for i < n/2 and the odd powers 3**(2i+1) * (alpha + twist) for
+    odd_from <= i < odd_from + n/2.
+    """
+    evens, odds = ((n, range(0)) if n % 2 == 1
+                   else (n // 2, range(odd_from, odd_from + n // 2)))
+    layer: set[int] = set()
+    for a in coset_reps((3,), modulus).representatives:
+        alpha = a * rd % q
+        layer.update(pow(3, 2 * i, q) * alpha % q for i in range(evens))
+        layer.update(pow(3, 2 * i + 1, q) * (alpha + twist) % q for i in odds)
+    return frozenset(layer)
+
 
 def build_four_times_odd(r: int) -> ConstructionReport:
     """Maximum valid set for q = 4r (gcd(r,6)=1): size exactly r - 1.
@@ -674,10 +643,8 @@ def build_four_times_odd(r: int) -> ConstructionReport:
     d | r, d > 1 gives r - 1, which meets the counting upper bound
     floor((4r-1)/4) -- so the result is always maximum (tight=True).
     """
-    if r < 1 or r % 2 == 0 or math.gcd(r, 6) != 1:
-        raise ConstructionError(f"need odd r with gcd(r, 6) = 1, got r={r}")
-    q = 4 * r
-    instance = Instance(q, 2, r, 4)
+    instance = _instance(2, r)
+    q = instance.q
     pieces: list[Piece] = []
     for d in divisors(r):
         if d == 1:
@@ -686,42 +653,21 @@ def build_four_times_odd(r: int) -> ConstructionReport:
             pieces.append(Piece(1, "forced-empty", frozenset(), True))
             continue
         n1 = mult_order(3, 2 * d)
-        rd = r // d
-        piece_set: set[int] = set()
-        if n1 % 2 == 1:
-            label = "orbit-even-powers"
-            for a in coset_reps((3,), 2 * d).representatives:
-                alpha = a * rd % q
-                piece_set.update(pow(3, 2 * i, q) * alpha % q
-                                 for i in range(n1))
-        else:
-            label = "orbit-split-twist"
-            for a in coset_reps((3,), 2 * d).representatives:
-                alpha = a * rd % q
-                beta = (alpha + 2 * r) % q
-                piece_set.update(pow(3, 2 * i, q) * alpha % q
-                                 for i in range(n1 // 2))
-                piece_set.update(pow(3, 2 * i + 1, q) * beta % q
-                                 for i in range(n1 // 2))
-        if len(piece_set) != euler_phi(d):
+        label = "orbit-even-powers" if n1 % 2 == 1 else "orbit-split-twist"
+        piece = Piece(d, label, _orbit_layer(q, 2 * d, r // d, n1, 2 * r, 0),
+                      True)
+        if piece.size != euler_phi(d):
             raise ConstructionError(
-                f"divisor d={d} piece at q={q} has {len(piece_set)} "
+                f"divisor d={d} piece at q={q} has {piece.size} "
                 f"elements, expected phi(d)={euler_phi(d)}")
-        pieces.append(Piece(d, label, frozenset(piece_set), True))
-    elements = frozenset().union(*(p.elements for p in pieces))
-    if len(elements) != r - 1:
+        pieces.append(piece)
+    size = sum(p.size for p in pieces)
+    if size != r - 1:
         raise ConstructionError(
-            f"q={q} construction produced {len(elements)} elements, "
+            f"q={q} construction produced {size} elements, "
             f"expected r-1={r - 1}")
-    verified = _verify_or_raise(elements, q, f"assembled set for q={q}")
-    return ConstructionReport(
-        instance=instance,
-        elements=elements,
-        pieces=tuple(pieces),
-        upper_bound=hamming_upper_bound(q, 4),  # == r - 1: bound met
-        verified=verified,
-        tight=True,
-    )
+    # upper_bound == r - 1: the bound is met
+    return _assemble(instance, pieces, True)
 
 
 # --------------------------------------------------------------------------
@@ -743,68 +689,35 @@ def build_eightfold(k: int, r: int,
     """
     if k < 3:
         raise ConstructionError(f"eightfold recursion needs k >= 3, got {k}")
-    if r < 1 or r % 2 == 0 or math.gcd(r, 6) != 1:
-        raise ConstructionError(f"need odd r with gcd(r, 6) = 1, got r={r}")
-    q = (1 << k) * r
+    instance = _instance(k, r)
+    q = instance.q
     if base.instance.q * 8 != q:
         raise ConstructionError(
             f"base modulus {base.instance.q} is not q/8 = {q // 8}")
-    instance = Instance(q, k, r, 4)
     pieces: list[Piece] = []
     for d in divisors(r):
         mod_lo = (1 << (k - 2)) * d
-        mod_hi = (1 << (k - 1)) * d
         n_lo = mult_order(3, mod_lo)
-        n_hi = mult_order(3, mod_hi)
-        rd = r // d
-        piece_set: set[int] = set()
+        n_hi = mult_order(3, 2 * mod_lo)
         if n_lo % 2 == 1:
-            label = "layer-odd-order"
+            label, twist, odd_from = "layer-odd-order", 0, 0
         elif n_hi == n_lo:
-            label = "layer-matched-orders"
+            label, twist, odd_from = "layer-matched-orders", (1 << (k - 2)) * r, 0
         elif n_hi == 2 * n_lo:
-            label = "layer-doubled-order"
+            label, twist, odd_from = "layer-doubled-order", 0, n_lo // 2
         else:
             raise ConstructionError(
                 f"order jump must be 1x or 2x: d={d}, k={k}, "
                 f"n_lo={n_lo}, n_hi={n_hi}")
-        for a in coset_reps((3,), mod_lo).representatives:
-            alpha = a * rd % q
-            if n_lo % 2 == 1:
-                piece_set.update(pow(3, 2 * i, q) * alpha % q
-                                 for i in range(n_lo))
-            elif n_hi == n_lo:
-                beta = (alpha + (1 << (k - 2)) * r) % q
-                piece_set.update(pow(3, 2 * i, q) * alpha % q
-                                 for i in range(n_lo // 2))
-                piece_set.update(pow(3, 2 * i + 1, q) * beta % q
-                                 for i in range(n_lo // 2))
-            else:
-                piece_set.update(pow(3, 2 * i, q) * alpha % q
-                                 for i in range(n_lo // 2))
-                piece_set.update(pow(3, 2 * i + 1, q) * alpha % q
-                                 for i in range(n_lo // 2, n_lo))
-        pieces.append(Piece(d, label, frozenset(piece_set), True))
-    layer = frozenset().union(*(p.elements for p in pieces))
+        pieces.append(Piece(d, label, _orbit_layer(q, mod_lo, r // d, n_lo,
+                                                   twist, odd_from), True))
+    size = sum(p.size for p in pieces)
     expected_layer = (1 << (k - 3)) * r
-    if len(layer) != sum(p.size for p in pieces) or len(layer) != expected_layer:
+    if size != expected_layer:
         raise ConstructionError(
-            f"layer for q={q} has {len(layer)} elements, "
+            f"layer for q={q} has {size} elements, "
             f"expected {expected_layer}")
-    scaled_base = frozenset(8 * x % q for x in base.elements)
-    elements = layer | scaled_base
-    if len(elements) != len(layer) + len(base.elements):
-        raise ConstructionError(f"layer and scaled base overlap at q={q}")
-    verified = _verify_or_raise(elements, q, f"assembled set for q={q}")
-    return ConstructionReport(
-        instance=instance,
-        elements=elements,
-        pieces=tuple(pieces),
-        upper_bound=hamming_upper_bound(q, 4),
-        verified=verified,
-        tight=base.tight,
-        base=base,
-    )
+    return _assemble(instance, pieces, base.tight, base)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ phase only (the witness phase is deterministic but not counted), so
 repeated runs on the same inputs report identical numbers.
 
 Results can be persisted to an append-only JSONL cache keyed by (q, lam);
-only exactly-solved records are reused.
+only exactly-solved records with the lex-min witness are stored and reused.
 """
 
 from __future__ import annotations
@@ -231,12 +231,9 @@ class _Core:
             bound += 1
         return bound
 
-    def maximize(self, cand0: int, start_count: int = 0, start_mask: int = 0) -> None:
-        """Optimize mode: update best_size/best_mask over IS extending start."""
-        if start_count > self.best_size or (start_count == self.best_size
-                                            and not self.best_mask and start_mask):
-            self.best_size, self.best_mask = start_count, start_mask
-        stack = [(cand0, start_count, start_mask)]
+    def maximize(self, cand0: int) -> None:
+        """Optimize mode: update best_size/best_mask over IS inside cand0."""
+        stack = [(cand0, 0, 0)]
         while stack:
             if self._tripped():
                 return
@@ -348,13 +345,10 @@ def _maximize_over(core: _Core, cand: int) -> tuple[int, int]:
     """Maximize component-wise; returns (total size, union mask)."""
     total, mask = 0, 0
     for comp in _components(core.neigh, cand):
-        sub = _Core(core.neigh, core.budget, core.t0)
-        sub.nodes = core.nodes
-        sub.maximize(comp)
-        core.nodes = sub.nodes
-        core.exact = core.exact and sub.exact
-        total += sub.best_size
-        mask |= sub.best_mask
+        core.best_size, core.best_mask = 0, 0
+        core.maximize(comp)
+        total += core.best_size
+        mask |= core.best_mask
         if not core.exact:
             break
     return total, mask
@@ -460,8 +454,10 @@ def exact_max(q: int, lam: int = 4, budget: Optional[Budget] = None,
     """Exact maximum valid-set size for modulus q (with lex-min witness).
 
     Returns a budget-exhausted lower bound (exact=False) instead of
-    raising when the search is cut off.
+    raising when the search is cut off.  ``cache`` is read and written
+    only with ``lex_witness``, so it never serves another witness.
     """
+    cache = cache if lex_witness else None
     if cache is not None:
         hit = cache.get(q, lam)
         if hit is not None:

@@ -15,6 +15,8 @@ from magset.constructions import (
     OPTIMAL_CASES,
     ConstructionError,
     _domain_wall_exponents,
+    _grid_cells,
+    _orbit_exponents,
     build_divisor_piece,
     build_eightfold,
     build_four_times_odd,
@@ -201,6 +203,42 @@ def test_domain_wall_exponents_on_every_branch_shape():
             assert len(exps) >= m, (m, rp)
             assert all((e + 1) % n not in chosen and (e + m) % n not in chosen
                        for e in exps), (m, rp)
+
+
+def test_every_orbit_case_is_independent_in_its_circulant():
+    # Every (n, s), not only those of real divisors: several cases (e.g.
+    # "n-even/s-even/r'=0") are reached by no divisor d < 6000.
+    labels = set()
+    for n in range(3, 121):
+        for s in range(1, n):
+            m = min(s, n - s)
+            kp = n // (2 * m)
+            label, exps = _orbit_exponents(n, s, m, kp, n - 2 * kp * m)
+            labels.add(label)
+            chosen = {e % n for e in exps}
+            assert len(chosen) == len(exps), (n, s, label)
+            assert all((e + 1) % n not in chosen and (e + s) % n not in chosen
+                       for e in chosen), (n, s, label)
+    assert len(labels) == 11
+
+
+def test_every_grid_case_is_independent_in_its_twisted_grid():
+    # t >= 2: family B needs 2 outside <3>, so <2, 3> is larger than <3>.
+    labels = set()
+    for n in range(2, 61):
+        for t in range(2, 13):
+            for s in range(n):
+                label, cells = _grid_cells(n, t, s)
+                labels.add(label)
+                chosen = set(cells)
+                assert len(chosen) == len(cells), (n, t, s, label)
+                for j, e in chosen:
+                    assert 0 <= j < t and 0 <= e < n, (n, t, s, label)
+                    assert (j, (e + 1) % n) not in chosen, (n, t, s, label)
+                    assert (j + 1, e) not in chosen, (n, t, s, label)
+                    if j == 0:
+                        assert (t - 1, (e + s) % n) not in chosen, (n, t, s, label)
+    assert len(labels) == 19
 
 
 def test_four_times_odd_meets_packing_bound():

@@ -122,6 +122,17 @@ def test_cache_skips_inexact_and_foreign_lines(tmp_path):
     assert cache.get(1, 4) is None
 
 
+def test_cache_serves_only_lex_min_witnesses(tmp_path):
+    # At q = 62 the first optimum found differs from the lex-min one.
+    lexmin = exact_max(62)
+    assert exact_max(62, lex_witness=False).witness != lexmin.witness
+    path = tmp_path / "cache.jsonl"
+    cache = SearchCache(str(path))
+    exact_max(62, lex_witness=False, cache=cache)
+    assert exact_max(62, cache=cache).witness == lexmin.witness
+    assert SearchCache(str(path)).get(62, 4).witness == lexmin.witness
+
+
 def test_default_cache_path_env_override(monkeypatch):
     monkeypatch.delenv("MAGSET_CACHE", raising=False)
     assert default_cache_path().endswith("magset-cache.jsonl")
