@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -137,7 +138,7 @@ def decode(code: LinearCode,
     if hit is None:
         raise UnknownSyndromeError(syndrome, code.q)
     magnitude, element = hit
-    position = code.elements.index(element)
+    position = bisect_left(code.elements, element)  # the row is sorted
     y[position] = (y[position] - magnitude) % code.q
     return tuple(y), (position, magnitude)
 

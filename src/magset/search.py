@@ -24,7 +24,8 @@ phase only (the witness phase is deterministic but not counted), so
 repeated runs on the same inputs report identical numbers.
 
 Results can be persisted to an append-only JSONL cache keyed by (q, lam);
-only exactly-solved records with the lex-min witness are stored and reused.
+only exactly-solved records of the default search (lex-min witness, unit
+split) are stored and reused.
 """
 
 from __future__ import annotations
@@ -455,9 +456,10 @@ def exact_max(q: int, lam: int = 4, budget: Optional[Budget] = None,
 
     Returns a budget-exhausted lower bound (exact=False) instead of
     raising when the search is cut off.  ``cache`` is read and written
-    only with ``lex_witness``, so it never serves another witness.
+    only with ``lex_witness`` and ``unit_split`` both true, so it never
+    serves another witness or a node count of the other search mode.
     """
-    cache = cache if lex_witness else None
+    cache = cache if lex_witness and unit_split else None
     if cache is not None:
         hit = cache.get(q, lam)
         if hit is not None:

@@ -2,9 +2,13 @@
 has all products e*b mod q (1 <= e <= lam) pairwise distinct and nonzero,
 and build the syndrome lookup table that property guarantees.
 
-Two independent implementations are provided; `is_b1_set` (bitset sweep)
-is the default and `is_b1_set_reference` (hash map) exists so tests can
-cross-check them against each other.
+Two independent implementations are provided; `is_b1_set` (a sweep that
+marks each product in a byte table of q flags) is the default and
+`is_b1_set_reference` (hash map) exists so tests can cross-check them
+against each other.  `build_syndrome_table` builds its table in one pass
+over the products and falls back to the sweep only to explain a
+rejection.  After sorting the input, `is_b1_set` runs in O(q + lam*|B|)
+time and the two hash-map passes in O(lam*|B|).
 """
 
 from __future__ import annotations
@@ -47,15 +51,21 @@ def _checked(elements: Iterable[int], q: int, lam: int) -> list[int]:
 
 
 def is_b1_set(elements: Iterable[int], q: int, lam: int = 4) -> Verdict:
-    """Bitset sweep: mark each product e*b mod q; any repeat or zero fails."""
+    """Byte-table sweep in O(q + lam*|B|): mark each product e*b mod q.
+
+    The table starts with residue 0 marked, so one test catches both a
+    zero product and a repeat.  The witness names the first failing
+    (e, b) in ascending-b, ascending-e order.
+    """
     elems = _checked(elements, q, lam)
-    seen = 0
+    seen = bytearray(q)
+    seen[0] = 1
     for b in elems:
         for e in range(1, lam + 1):
             s = e * b % q
-            if s == 0 or (seen >> s) & 1:
+            if seen[s]:
                 return Verdict(False, _witness(elems, q, lam, b, e))
-            seen |= 1 << s
+            seen[s] = 1
     return Verdict(True, None)
 
 
@@ -100,12 +110,17 @@ class SyndromeTable:
 
 
 def build_syndrome_table(elements: Iterable[int], q: int, lam: int = 4) -> SyndromeTable:
-    """Build the syndrome table; rejects sets that fail `is_b1_set`."""
+    """Build the syndrome table in one O(lam*|B|) pass over the products.
+
+    The set is valid exactly when the lam*|B| products land on as many
+    distinct nonzero keys.  A rejected set is swept once more by
+    `is_b1_set`, so the ValueError names the same witness it reports.
+    """
     elems = _checked(elements, q, lam)
-    verdict = is_b1_set(elems, q, lam)
-    if not verdict.valid:
-        raise ValueError(f"not a valid set: {format_witness(verdict.witness, q)}")
     entries = {e * b % q: (e, b) for b in elems for e in range(1, lam + 1)}
+    if len(entries) != lam * len(elems) or 0 in entries:
+        witness = is_b1_set(elems, q, lam).witness
+        raise ValueError(f"not a valid set: {format_witness(witness, q)}")
     return SyndromeTable(q, lam, entries)
 
 

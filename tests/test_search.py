@@ -133,6 +133,19 @@ def test_cache_serves_only_lex_min_witnesses(tmp_path):
     assert SearchCache(str(path)).get(62, 4).witness == lexmin.witness
 
 
+def test_cache_serves_only_unit_split_searches(tmp_path):
+    # The stored node count depends on unit_split, which the key leaves out.
+    plain = exact_max(62, unit_split=False)
+    path = tmp_path / "cache.jsonl"
+    cache = SearchCache(str(path))
+    assert exact_max(62, cache=cache).nodes_expanded != plain.nodes_expanded
+    again = exact_max(62, unit_split=False, cache=cache)
+    assert again.nodes_expanded == plain.nodes_expanded
+    other = tmp_path / "other.jsonl"
+    exact_max(62, unit_split=False, cache=SearchCache(str(other)))
+    assert not other.exists()
+
+
 def test_default_cache_path_env_override(monkeypatch):
     monkeypatch.delenv("MAGSET_CACHE", raising=False)
     assert default_cache_path().endswith("magset-cache.jsonl")

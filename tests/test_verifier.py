@@ -1,10 +1,11 @@
-"""Validity checking: bitset sweep vs reference map, witnesses, syndromes."""
+"""Validity checking: byte-table sweep vs reference map, witnesses, syndromes."""
 
 import random
 
 import pytest
 
 from golden_data import GOLDEN_SETS
+from magset.constructions import construct
 from magset.verifier import (
     build_syndrome_table,
     format_witness,
@@ -94,3 +95,48 @@ def test_syndrome_table_contents():
 def test_syndrome_table_rejects_invalid():
     with pytest.raises(ValueError):
         build_syndrome_table({1, 2}, 9)
+
+
+def test_verdicts_equal_reference_randomized():
+    # Same verdict and the same witness: the first failing (e, b) in
+    # ascending-b, ascending-e order, against the first product it repeats.
+    rng = random.Random(20261018)
+    valid = 0
+    for _ in range(4000):
+        q = rng.randrange(2, 3000)
+        lam = rng.randrange(1, 7)
+        size = rng.randrange(0, min(q - 1, 60) + 1)
+        elements = rng.sample(range(1, q), size)
+        verdict = is_b1_set(elements, q, lam)
+        assert verdict == is_b1_set_reference(elements, q, lam), (
+            q, lam, elements)
+        valid += verdict.valid
+    assert 0 < valid < 4000
+
+
+def test_large_set_and_one_added_double():
+    q = 2 * 100003
+    report = construct(q)
+    elements = sorted(report.elements)
+    assert is_b1_set(elements, q).valid
+    assert len(build_syndrome_table(elements, q).entries) == 4 * len(elements)
+    x = next(b for b in elements if 2 * b % q not in report.elements)
+    spoiled = [*elements, 2 * x % q]
+    verdict = is_b1_set(spoiled, q)
+    assert not verdict.valid
+    assert verdict == is_b1_set_reference(spoiled, q)
+    message = f"not a valid set: {format_witness(verdict.witness, q)}"
+    with pytest.raises(ValueError) as err:
+        build_syndrome_table(spoiled, q)
+    assert str(err.value) == message
+
+
+def test_syndrome_table_empty_and_overfull_sets():
+    assert build_syndrome_table((), 7).entries == {}
+    rng = random.Random(7)
+    for q in range(2, 40):
+        for lam in range(1, 6):
+            for size in range(-(-q // lam), q):  # every size with lam*size >= q
+                elements = rng.sample(range(1, q), size)
+                with pytest.raises(ValueError, match="not a valid set"):
+                    build_syndrome_table(elements, q, lam)
