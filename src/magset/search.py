@@ -6,9 +6,14 @@ in the conflict graph (vertices: residues whose own products e*x mod q are
 distinct and nonzero; edges: pairs whose product sets intersect).  The
 search is a deterministic branch-and-bound maximum-independent-set solver:
 
-* greedy clique-cover upper bounds (a greedy coloring of the complement),
-  rebuilt from the candidate set at every node, lowest vertex first;
-* branching on the candidate of maximum residual degree (lex tie-break);
+* colour-ordered expansion (Tomita et al., WALCOM 2010; San Segundo et
+  al., Comput. Oper. Res. 2011): each node greedily covers its candidates
+  by cliques (lowest vertex first, absorbing the lowest common neighbour;
+  a colouring of the complement) and numbers the classes;
+* branching on the candidates from the last class down, each one removed
+  from the candidates of the next, with the bound "the count so far plus
+  the branching vertex's class number" cutting the node off as soon as it
+  cannot beat the best set found;
 * connected components solved independently;
 * a unit-symmetry root split: scaling by a unit maps valid sets to valid
   sets, so any optimum containing a unit can be scaled to contain 1 —
@@ -16,16 +21,18 @@ search is a deterministic branch-and-bound maximum-independent-set solver:
   1, best over non-unit vertices only);
 * an optional second phase that rebuilds the witness as the
   lexicographically smallest optimum (the first phase proves the value,
-  the second fixes elements ascending, each confirmed by a feasibility
-  search).
+  the second fixes elements ascending, each confirmed by the same
+  expansion in decision mode, with the best preset to one below the size
+  needed).
 
-`nodes_expanded` counts the branch-and-bound nodes of the optimization
-phase only (the witness phase is deterministic but not counted), so
-repeated runs on the same inputs report identical numbers.
+One node is one expansion; the node budget covers both phases, the
+witness phase spending what the proof left.  `nodes_expanded` counts the
+nodes of the optimization phase only, so repeated runs on the same inputs
+report identical numbers.
 
 Results can be persisted to an append-only JSONL cache keyed by (q, lam);
 only exactly-solved records of the default search (lex-min witness, unit
-split) are stored and reused.
+split) whose witness phase finished are stored and reused.
 """
 
 from __future__ import annotations
@@ -192,7 +199,8 @@ class SearchCache:
 
 
 class _Core:
-    """Bitmask branch-and-bound over one conflict graph (index space)."""
+    """Colour-ordered bitmask branch-and-bound over one conflict graph
+    (index space), in optimisation or decision mode."""
 
     def __init__(self, neigh: list[int], budget: Budget, t0: float) -> None:
         self.neigh = neigh
@@ -202,7 +210,6 @@ class _Core:
         self.exact = True
         self.best_size = 0
         self.best_mask = 0
-        self.found_mask = 0
 
     def _tripped(self) -> bool:
         if self.nodes >= self.budget.max_nodes:
@@ -212,113 +219,75 @@ class _Core:
             self.exact = False
         return not self.exact
 
-    def _cover_bound(self, cand: int) -> int:
-        # Greedy clique cover of the candidates, rebuilt at every node:
-        # take the lowest remaining vertex, grow a clique around it by
-        # repeatedly absorbing the lowest candidate adjacent to every
-        # member so far.  An independent set holds at most one vertex per
-        # clique, so the number of cliques bounds what cand can add.
-        neigh = self.neigh
-        bound = 0
-        rem = cand
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            clique = neigh[v] & rem
-            while clique:
-                low = clique & -clique
-                rem ^= low
-                clique &= neigh[low.bit_length() - 1]
-            bound += 1
-        return bound
+    def search(self, cand: int, best: int = 0, first: bool = False) -> None:
+        """Raise best_size/best_mask above ``best`` with an independent set
+        inside cand; with ``first``, stop at the first such set.
 
-    def maximize(self, cand0: int) -> None:
-        """Optimize mode: update best_size/best_mask over IS inside cand0."""
-        stack = [(cand0, 0, 0)]
-        while stack:
-            if self._tripped():
-                return
-            cand, cnt, mask = stack.pop()
-            self.nodes += 1
-            cand, cnt, mask = self._strip(cand, cnt, mask)
-            if not cand:
-                if cnt > self.best_size:
-                    self.best_size, self.best_mask = cnt, mask
-                continue
-            if cnt + self._cover_bound(cand) <= self.best_size:
-                continue
-            v = self._branch_vertex(cand)
-            vbit = 1 << v
-            stack.append((cand & ~vbit, cnt, mask))  # exclude v
-            stack.append((cand & ~(self.neigh[v] | vbit), cnt + 1, mask | vbit))
-
-    def exists(self, cand0: int, need: int) -> bool:
-        """Decision mode: is there an independent set of size >= need?
-
-        On success, ``found_mask`` holds one such set (possibly larger).
+        Each node colours its candidates by a greedy clique cover (lowest
+        vertex first, absorbing the lowest common neighbour) and tries
+        them from the last class down: a vertex of class c can lead to at
+        most cnt + c, so the node stops once that is no better than the
+        best, and a tried vertex leaves the candidates of its siblings.
         """
-        self.found_mask = 0
-        if need <= 0:
-            return True
-        stack = [(cand0, 0, 0)]
-        while stack:
-            if self._tripped():
-                return False
-            cand, cnt, mask = stack.pop()
-            self.nodes += 1
-            cand, cnt, mask = self._strip(cand, cnt, mask)
-            if cnt >= need:
-                self.found_mask = mask
-                return True
-            g_size, g_mask = self._greedy(cand)
-            if cnt + g_size >= need:
-                self.found_mask = mask | g_mask
-                return True
-            if not cand or cnt + self._cover_bound(cand) < need:
-                continue
-            v = self._branch_vertex(cand)
+        neigh = self.neigh
+        self.best_size, self.best_mask = best, 0
+        frames = []  # not recursion: a dive is as deep as the set is large
+        cnt = mask = 0
+        while True:
+            if cand:  # expand the node (cand, cnt, mask)
+                if self._tripped():
+                    return
+                self.nodes += 1
+                # only classes above best - cnt can be tried at this node
+                floor = self.best_size - cnt
+                todo = []
+                rem, c = cand, 0
+                while rem:
+                    c += 1
+                    low = rem & -rem
+                    rem ^= low
+                    v = low.bit_length() - 1
+                    if c > floor:
+                        todo.append((c, v))
+                    clique = neigh[v] & rem
+                    while clique:
+                        low = clique & -clique
+                        rem ^= low
+                        v = low.bit_length() - 1
+                        if c > floor:
+                            todo.append((c, v))
+                        clique &= neigh[v]
+                frames.append([cand, todo, cnt, mask])
+            while frames:
+                frame = frames[-1]
+                cand, todo, cnt, mask = frame
+                if todo and cnt + todo[-1][0] > self.best_size:
+                    break
+                frames.pop()
+            else:
+                return
+            v = todo.pop()[1]
             vbit = 1 << v
-            stack.append((cand & ~vbit, cnt, mask))
-            stack.append((cand & ~(self.neigh[v] | vbit), cnt + 1, mask | vbit))
-        return False
+            frame[0] = cand ^ vbit
+            cand &= ~(neigh[v] | vbit)
+            cnt += 1
+            mask |= vbit
+            if not cand:
+                # a leaf improves: v misses a member of every earlier
+                # class, so only a class-1 vertex empties cand, and it
+                # passed cnt > best
+                self.best_size, self.best_mask = cnt, mask
+                if first:
+                    return
 
-    def _greedy(self, cand: int) -> tuple[int, int]:
-        # Quick feasibility lower bound: repeatedly take the lowest
-        # candidate and drop its closed neighborhood.
-        size, mask = 0, 0
-        while cand:
-            low = cand & -cand
-            mask |= low
-            size += 1
-            cand &= ~(self.neigh[low.bit_length() - 1] | low)
-        return size, mask
-
-    def _strip(self, cand: int, cnt: int, mask: int) -> tuple[int, int, int]:
-        # vertices with no conflicts among the candidates are always taken
-        iso = 0
-        c = cand
-        while c:
-            low = c & -c
-            c ^= low
-            if not self.neigh[low.bit_length() - 1] & cand:
-                iso |= low
-        if iso:
-            cand &= ~iso
-            cnt += iso.bit_count()
-            mask |= iso
-        return cand, cnt, mask
-
-    def _branch_vertex(self, cand: int) -> int:
-        best_deg, best_v = -1, -1
-        c = cand
-        while c:
-            low = c & -c
-            c ^= low
-            i = low.bit_length() - 1
-            deg = (self.neigh[i] & cand).bit_count()
-            if deg > best_deg:  # ascending scan: ties keep the smallest index
-                best_deg, best_v = deg, i
-        return best_v
+    def exists(self, cand: int, need: int) -> bool:
+        """Decision mode: is there an independent set of size >= need
+        inside cand?  On success, ``best_mask`` holds one."""
+        if need <= 0:
+            self.best_mask = 0
+            return True
+        self.search(cand, need - 1, first=True)
+        return self.exact and self.best_size >= need
 
 
 def _components(neigh: list[int], mask: int) -> list[int]:
@@ -346,8 +315,7 @@ def _maximize_over(core: _Core, cand: int) -> tuple[int, int]:
     """Maximize component-wise; returns (total size, union mask)."""
     total, mask = 0, 0
     for comp in _components(core.neigh, cand):
-        core.best_size, core.best_mask = 0, 0
-        core.maximize(comp)
+        core.search(comp)
         total += core.best_size
         mask |= core.best_mask
         if not core.exact:
@@ -358,7 +326,8 @@ def _maximize_over(core: _Core, cand: int) -> tuple[int, int]:
 def _lexmin_witness(core: _Core, full_mask: int, target: int,
                     seed_mask: int) -> tuple[int, bool]:
     """Smallest optimum in sorted-tuple order: fix vertices ascending,
-    each confirmed by a feasibility search over the larger indices.
+    each confirmed by a feasibility search over the larger indices, run on
+    ``core`` so that it spends from the same node budget.
 
     ``seed_mask`` must be one known optimum; any candidate lying in the
     currently known optimum is consistent by construction and is accepted
@@ -381,15 +350,14 @@ def _lexmin_witness(core: _Core, full_mask: int, target: int,
             cand = sub
             known &= ~low  # rest of the known optimum avoids N[low]
             continue
-        probe = _Core(core.neigh, core.budget, core.t0)
-        found = probe.exists(sub, target - chosen - 1)
-        if not probe.exact:
+        found = core.exists(sub, target - chosen - 1)
+        if not core.exact:
             return chosen_mask, False
         if found:
             chosen_mask |= low
             chosen += 1
             cand = sub
-            known = probe.found_mask
+            known = core.best_mask
         else:
             cand &= ~low
     return chosen_mask, True
@@ -405,7 +373,9 @@ def _mask_to_residues(mask: int, verts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
-         unit_split: bool) -> SearchResult:
+         unit_split: bool) -> tuple[SearchResult, bool]:
+    """The search, and whether its witness is the lex-min one (always
+    False without ``lex_witness`` or after a cut-off)."""
     t0 = time.monotonic()
     verts = graph.vertices
     index = {x: i for i, x in enumerate(verts)}
@@ -419,7 +389,8 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
     core = _Core(neigh, budget, t0)
 
     if not verts:
-        return SearchResult(graph.q, graph.lam, 0, (), 0, time.monotonic() - t0, True)
+        return SearchResult(graph.q, graph.lam, 0, (), 0,
+                            time.monotonic() - t0, True), lex_witness
 
     if unit_split and 1 in index:
         # any optimum containing a unit scales to one containing vertex 1
@@ -439,13 +410,14 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
 
     nodes = core.nodes
     exact = core.exact
-    if exact and lex_witness and best_size > 0:
-        lex_mask, ok = _lexmin_witness(core, full, best_size, best_mask)
-        if ok:
+    lex_min = exact and lex_witness
+    if lex_min and best_size > 0:
+        lex_mask, lex_min = _lexmin_witness(core, full, best_size, best_mask)
+        if lex_min:
             best_mask = lex_mask
     witness = _mask_to_residues(best_mask, verts)
     return SearchResult(graph.q, graph.lam, best_size, witness, nodes,
-                        time.monotonic() - t0, exact)
+                        time.monotonic() - t0, exact), lex_min
 
 
 def exact_max(q: int, lam: int = 4, budget: Optional[Budget] = None,
@@ -455,18 +427,21 @@ def exact_max(q: int, lam: int = 4, budget: Optional[Budget] = None,
     """Exact maximum valid-set size for modulus q (with lex-min witness).
 
     Returns a budget-exhausted lower bound (exact=False) instead of
-    raising when the search is cut off.  ``cache`` is read and written
-    only with ``lex_witness`` and ``unit_split`` both true, so it never
-    serves another witness or a node count of the other search mode.
+    raising when the search is cut off.  The lex-min witness phase draws
+    on the nodes the proof left; if it is cut off, the proof's witness is
+    returned instead.  ``cache`` is read only with ``lex_witness`` and
+    ``unit_split`` both true, and written only when the witness phase
+    finished, so it never serves another witness or a node count of the
+    other search mode.
     """
     cache = cache if lex_witness and unit_split else None
     if cache is not None:
         hit = cache.get(q, lam)
         if hit is not None:
             return hit
-    result = _run(conflict_graph(q, lam), budget or DEFAULT_BUDGET,
-                  lex_witness, unit_split)
-    if cache is not None:
+    result, lex_min = _run(conflict_graph(q, lam), budget or DEFAULT_BUDGET,
+                           lex_witness, unit_split)
+    if cache is not None and lex_min:
         cache.put(result)
     return result
 
@@ -481,4 +456,4 @@ def exact_max_in_subset(q: int, lam: int, allowed: Iterable[int],
     keyed by (q, lam) only).
     """
     return _run(conflict_graph(q, lam, allowed), budget or DEFAULT_BUDGET,
-                lex_witness, unit_split=False)
+                lex_witness, unit_split=False)[0]

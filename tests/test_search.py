@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import random
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from golden_data import GOLDEN_SIZES
 from magset.residues import Instance, divisor_class
 from magset.search import (
     Budget,
+    _Core,
     SearchCache,
     conflict_graph,
     default_cache_path,
@@ -85,6 +88,66 @@ def test_budget_cuts_off_with_lower_bound():
     assert result.nodes_expanded <= 5
     assert 1 <= result.max_size < 26
     assert is_b1_set(result.witness, 106).valid
+
+
+def test_node_budget_bounds_the_witness_phase(tmp_path):
+    # One node beyond the proof: the lex-min witness phase is cut off, so
+    # the proof's own optimum is returned and nothing is cached.
+    proof = exact_max(62, lex_witness=False)
+    assert proof.witness != exact_max(62).witness
+    path = tmp_path / "cache.jsonl"
+    budget = Budget(max_nodes=proof.nodes_expanded + 1, max_seconds=math.inf)
+    result = exact_max(62, budget=budget, cache=SearchCache(str(path)))
+    assert result.exact and result.max_size == proof.max_size == 12
+    assert result.nodes_expanded == proof.nodes_expanded
+    assert len(set(result.witness)) == result.max_size
+    assert is_b1_set(result.witness, 62).valid
+    assert not path.exists()
+
+
+def _brute_alpha(neigh, cand):
+    if not cand:
+        return 0
+    low = cand & -cand
+    v = low.bit_length() - 1
+    return max(_brute_alpha(neigh, cand ^ low),
+               1 + _brute_alpha(neigh, cand & ~(neigh[v] | low)))
+
+
+def _graphs():
+    rng = random.Random(2024)
+    yield [0] * 6  # empty graph
+    yield [((1 << 7) - 1) & ~(1 << v) for v in range(7)]  # clique
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        p = rng.random()
+        neigh = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    neigh[u] |= 1 << v
+                    neigh[v] |= 1 << u
+        yield neigh
+
+
+def test_core_matches_brute_force_alpha():
+    rng = random.Random(7)
+    for neigh in _graphs():
+        full = (1 << len(neigh)) - 1
+        for cand in (full, rng.getrandbits(len(neigh)) & full):
+            alpha = _brute_alpha(neigh, cand)
+            core = _Core(neigh, Budget(10**6, math.inf), time.monotonic())
+            core.search(cand)
+            assert core.exact and core.best_size == alpha
+            for need in range(alpha + 3):
+                found = core.exists(cand, need)
+                assert found == (alpha >= need), (neigh, cand, need)
+                if found:
+                    mask = core.best_mask
+                    assert mask & ~cand == 0
+                    assert bin(mask).count("1") >= need
+                    assert all(not neigh[v] & mask
+                               for v in range(len(neigh)) if mask >> v & 1)
 
 
 def test_budget_is_hashable_value_object():
