@@ -25,8 +25,7 @@ from .constructions import (ConstructionError, ConstructionReport, Piece,
                             build_divisor_piece, build_eightfold,
                             build_four_times_odd, build_twice_odd, construct,
                             divisor_context, hamming_upper_bound)
-from .numtheory import (coset_reps, cyclotomic_set, divisors, euler_phi,
-                        mult_order, subgroup)
+from .numtheory import coset_reps, divisors, euler_phi, mult_order, subgroup
 from .residues import Instance, decompose, divisor_class
 from .search import (Budget, SearchCache, SearchResult, conflict_graph,
                      exact_max, exact_max_in_subset)
@@ -41,7 +40,7 @@ __all__ = [
     "SearchResult", "UnknownSyndromeError", "Verdict",
     "build_divisor_piece", "build_eightfold", "build_four_times_odd",
     "build_syndrome_table", "build_twice_odd", "conflict_graph", "construct",
-    "coset_reps", "cyclotomic_set", "decode", "decompose", "divisor_class",
+    "coset_reps", "decode", "decompose", "divisor_class",
     "divisor_context", "divisors", "encode", "euler_phi", "exact_max",
     "exact_max_in_subset", "format_witness", "hamming_upper_bound",
     "is_b1_set", "is_b1_set_reference", "is_codeword", "make_code",

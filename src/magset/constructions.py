@@ -55,7 +55,6 @@ from .numtheory import (
 from .residues import Instance, divisor_class
 from .search import (
     Budget,
-    SearchCache,
     SearchResult,
     exact_max,
     exact_max_in_subset,
@@ -725,15 +724,14 @@ def build_eightfold(k: int, r: int,
 # --------------------------------------------------------------------------
 
 def construct(q: int, lam: int = 4, *, refine: bool = True,
-              budget: Optional[Budget] = None,
-              cache: Optional[SearchCache] = None) -> ConstructionReport:
+              budget: Optional[Budget] = None) -> ConstructionReport:
     """Best known valid set for modulus q = 2**k r with gcd(r, 6) = 1.
 
     Routes on the 2-adic valuation k of q:
 
     * k = 0: no explicit pattern exists for odd moduli -- the exact
       search provides the set (tight when the search completed within
-      budget; ``cache`` is consulted/updated if given).
+      budget).
     * k = 1: per-divisor patterns, optionally refined by in-class search.
     * k = 2: the exact size-(r-1) construction.
     * k >= 3: the eightfold recursion on construct(q / 8).
@@ -753,7 +751,7 @@ def construct(q: int, lam: int = 4, *, refine: bool = True,
             f"satisfy gcd(r, 6) = 1")
     k, r = instance.k, instance.r
     if k == 0:
-        result = exact_max(q, lam, budget=budget, cache=cache)
+        result = exact_max(q, lam, budget=budget)
         elements = frozenset(result.witness)
         report = ConstructionReport(
             instance=instance,
@@ -768,8 +766,7 @@ def construct(q: int, lam: int = 4, *, refine: bool = True,
     elif k == 2:
         report = build_four_times_odd(r)
     else:
-        base = construct(q >> 3, lam, refine=refine, budget=budget,
-                         cache=cache)
+        base = construct(q >> 3, lam, refine=refine, budget=budget)
         report = build_eightfold(k, r, base)
     if k % 3 == 2 and k >= 2:
         closed_form = (q + 3 * r - 7) // 7

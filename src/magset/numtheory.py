@@ -1,6 +1,6 @@
 """Modular-arithmetic substrate: factorization, totients, multiplicative
-orders, base-3 discrete logs, multiplicative orbits, and coset
-representative systems.
+orders, base-3 discrete logs, unit subgroups, and coset representative
+systems.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share across threads.  Target scale is moduli up to
@@ -23,10 +23,8 @@ __all__ = [
     "mult_order",
     "mult_order_naive",
     "two_adic_valuation",
-    "cyclotomic_set",
     "subgroup",
     "coset_reps",
-    "two_power_transversal",
     "dlog3",
 ]
 
@@ -164,27 +162,6 @@ def _order_mod_prime_power(l: int, p: int, e: int) -> int:
     return n
 
 
-def cyclotomic_set(l: int, beta: int, q: int) -> frozenset[int]:
-    """Orbit of beta under repeated multiplication by l mod q.
-
-    The orbit closes after mult_order(l, q // gcd(beta, q)) steps; l must
-    be invertible mod that quotient for the orbit to be a cycle.
-    """
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
-    beta %= q
-    d = q // math.gcd(beta, q)
-    if math.gcd(l, d) != 1:
-        raise ValueError(f"cyclotomic_set requires gcd(l, q/gcd(beta,q)) = 1, "
-                         f"got l={l}, beta={beta}, q={q}")
-    orbit = set()
-    x = beta
-    while x not in orbit:
-        orbit.add(x)
-        x = x * l % q
-    return frozenset(orbit)
-
-
 @lru_cache(maxsize=None)
 def subgroup(generators: tuple[int, ...], modulus: int) -> frozenset[int]:
     """The subgroup of units mod modulus generated by the given residues."""
@@ -220,11 +197,6 @@ def coset_reps(generators: tuple[int, ...], modulus: int) -> CosetSystem:
         reps.append(a)
         covered.update(a * h % modulus for h in sub)
     return CosetSystem(modulus, gens, len(sub), tuple(reps))
-
-
-def two_power_transversal(t: int) -> tuple[int, ...]:
-    """The transversal {1, 2, 4, ..., 2**(t-1)} of <3> inside <2,3>."""
-    return tuple(1 << i for i in range(t))
 
 
 @lru_cache(maxsize=None)

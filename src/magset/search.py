@@ -14,16 +14,19 @@ search is a deterministic branch-and-bound maximum-independent-set solver:
   from the candidates of the next, with the bound "the count so far plus
   the branching vertex's class number" cutting the node off as soon as it
   cannot beat the best set found;
-* connected components solved independently;
 * a unit-symmetry root split: scaling by a unit maps valid sets to valid
   sets, so any optimum containing a unit can be scaled to contain 1 —
   the optimum is max(1 + best excluding the closed neighborhood of vertex
-  1, best over non-unit vertices only);
-* an optional second phase that rebuilds the witness as the
-  lexicographically smallest optimum (the first phase proves the value,
-  the second fixes elements ascending, each confirmed by the same
-  expansion in decision mode, with the best preset to one below the size
-  needed).
+  1, best over non-unit vertices only), and on a tie the branch through
+  vertex 1, the smallest vertex, holds the lexicographically smallest
+  optimum;
+* both phases run per connected component: the first proves the value
+  of each component of both branches; the optional second rebuilds the
+  witness inside each component of the winning branch as that
+  component's lexicographically smallest optimum (the union of these is
+  the smallest optimum overall), fixing vertices ascending, each
+  confirmed by the same expansion in decision mode, with the best preset
+  to one below the size needed.
 
 One node is one expansion; the node budget covers both phases, the
 witness phase spending what the proof left.  `nodes_expanded` counts the
@@ -311,45 +314,28 @@ def _components(neigh: list[int], mask: int) -> list[int]:
     return comps
 
 
-def _maximize_over(core: _Core, cand: int) -> tuple[int, int]:
-    """Maximize component-wise; returns (total size, union mask)."""
-    total, mask = 0, 0
+def _solve(core: _Core, cand: int) -> list[tuple[int, int, int]]:
+    """(component, size, optimum) for each component of cand, up to and
+    including the one the budget cuts off."""
+    parts = []
     for comp in _components(core.neigh, cand):
         core.search(comp)
-        total += core.best_size
-        mask |= core.best_mask
+        parts.append((comp, core.best_size, core.best_mask))
         if not core.exact:
             break
-    return total, mask
+    return parts
 
 
-def _lexmin_witness(core: _Core, full_mask: int, target: int,
-                    seed_mask: int) -> tuple[int, bool]:
-    """Smallest optimum in sorted-tuple order: fix vertices ascending,
-    each confirmed by a feasibility search over the larger indices, run on
-    ``core`` so that it spends from the same node budget.
-
-    ``seed_mask`` must be one known optimum; any candidate lying in the
-    currently known optimum is consistent by construction and is accepted
-    without a search, and every successful search donates its witness as
-    the new known optimum -- only rejections pay for a full search.
-    """
+def _lexmin_witness(core: _Core, cand: int, target: int) -> tuple[int, bool]:
+    """Smallest optimum of one component in sorted-tuple order: fix its
+    vertices ascending, each confirmed by a feasibility search over the
+    larger indices of the component, run on ``core`` so that it spends
+    from the same node budget.  Returns (mask, whether it finished)."""
     chosen_mask = 0
     chosen = 0
-    cand = full_mask
-    known = seed_mask  # an IS of size target - chosen inside cand
     while chosen < target:
-        if not cand:
-            return chosen_mask, False  # cannot happen with a true target
         low = cand & -cand
-        i = low.bit_length() - 1
-        sub = cand & ~(core.neigh[i] | low)
-        if known & low:
-            chosen_mask |= low
-            chosen += 1
-            cand = sub
-            known &= ~low  # rest of the known optimum avoids N[low]
-            continue
+        sub = cand & ~(core.neigh[low.bit_length() - 1] | low)
         found = core.exists(sub, target - chosen - 1)
         if not core.exact:
             return chosen_mask, False
@@ -357,9 +343,8 @@ def _lexmin_witness(core: _Core, full_mask: int, target: int,
             chosen_mask |= low
             chosen += 1
             cand = sub
-            known = core.best_mask
         else:
-            cand &= ~low
+            cand ^= low
     return chosen_mask, True
 
 
@@ -388,32 +373,39 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
     full = (1 << len(verts)) - 1
     core = _Core(neigh, budget, t0)
 
-    if not verts:
-        return SearchResult(graph.q, graph.lam, 0, (), 0,
-                            time.monotonic() - t0, True), lex_witness
-
     if unit_split and 1 in index:
-        # any optimum containing a unit scales to one containing vertex 1
+        # any optimum containing a unit scales to one containing vertex 1,
+        # the smallest vertex: {1} is a component of the first branch, and
+        # on a tie that branch holds the lex-min optimum
         one = 1 << index[1]
-        with_one_cand = full & ~(neigh[index[1]] | one)
-        size_a, mask_a = _maximize_over(core, with_one_cand)
-        size_a, mask_a = size_a + 1, mask_a | one
+        parts = [(one, 1, one)] + _solve(core, full & ~(neigh[index[1]] | one))
         nonunit = 0
         for x, i in index.items():
             if math.gcd(x, graph.q) != 1:
                 nonunit |= 1 << i
-        size_b, mask_b = _maximize_over(core, nonunit)
-        best_size, best_mask = max((size_a, mask_a), (size_b, mask_b),
-                                   key=lambda p: p[0])
+        other = _solve(core, nonunit)
+        if sum(p[1] for p in other) > sum(p[1] for p in parts):
+            parts = other
     else:
-        best_size, best_mask = _maximize_over(core, full)
+        parts = _solve(core, full)
 
+    best_size = sum(p[1] for p in parts)
+    best_mask = 0
+    for _, _, opt in parts:
+        best_mask |= opt
     nodes = core.nodes
     exact = core.exact
+    # the lex-min optimum of a disjoint union is the union of the
+    # components' lex-min optima
     lex_min = exact and lex_witness
-    if lex_min and best_size > 0:
-        lex_mask, lex_min = _lexmin_witness(core, full, best_size, best_mask)
-        if lex_min:
+    if lex_min:
+        lex_mask = 0
+        for comp, size, _ in parts:
+            mask, lex_min = _lexmin_witness(core, comp, size)
+            if not lex_min:
+                break
+            lex_mask |= mask
+        else:
             best_mask = lex_mask
     witness = _mask_to_residues(best_mask, verts)
     return SearchResult(graph.q, graph.lam, best_size, witness, nodes,
@@ -447,8 +439,7 @@ def exact_max(q: int, lam: int = 4, budget: Optional[Budget] = None,
 
 
 def exact_max_in_subset(q: int, lam: int, allowed: Iterable[int],
-                        budget: Optional[Budget] = None,
-                        lex_witness: bool = True) -> SearchResult:
+                        budget: Optional[Budget] = None) -> SearchResult:
     """Exact maximum valid set confined to `allowed` residues.
 
     No unit-symmetry split here: an arbitrary allowed set need not be
@@ -456,4 +447,4 @@ def exact_max_in_subset(q: int, lam: int, allowed: Iterable[int],
     keyed by (q, lam) only).
     """
     return _run(conflict_graph(q, lam, allowed), budget or DEFAULT_BUDGET,
-                lex_witness, unit_split=False)[0]
+                lex_witness=True, unit_split=False)[0]

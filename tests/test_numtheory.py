@@ -7,7 +7,6 @@ import pytest
 from magset.numtheory import (
     CosetSystem,
     coset_reps,
-    cyclotomic_set,
     divisors,
     dlog3,
     euler_phi,
@@ -16,7 +15,6 @@ from magset.numtheory import (
     mult_order_naive,
     subgroup,
     two_adic_valuation,
-    two_power_transversal,
 )
 
 
@@ -91,23 +89,12 @@ def test_dlog3_consistency():
             assert 0 <= s < mult_order(3, d)
 
 
-# -- orbits and subgroups ---------------------------------------------------
-
-def test_cyclotomic_set_is_orbit():
-    orbit = cyclotomic_set(3, 5, 40)
-    assert orbit == {5, 15, 45 % 40, 135 % 40}
-    assert all(3 * x % 40 in orbit for x in orbit)
-
+# -- subgroups ------------------------------------------------------------
 
 def test_subgroup_contents():
     assert subgroup((3,), 10) == {1, 3, 9, 7}
     assert subgroup((2, 3), 11) == {pow(2, a, 11) * pow(3, b, 11) % 11
                                     for a in range(10) for b in range(10)}
-
-
-def test_two_power_transversal():
-    assert two_power_transversal(1) == (1,)
-    assert two_power_transversal(3) == (1, 2, 4)
 
 
 # -- coset transversals ------------------------------------------------------

@@ -12,7 +12,9 @@ from golden_data import GOLDEN_SIZES
 from magset.residues import Instance, divisor_class
 from magset.search import (
     Budget,
+    ConflictGraph,
     _Core,
+    _run,
     SearchCache,
     conflict_graph,
     default_cache_path,
@@ -105,6 +107,22 @@ def test_node_budget_bounds_the_witness_phase(tmp_path):
     assert not path.exists()
 
 
+def test_witness_phase_fits_in_the_proof_budget(tmp_path):
+    # q = 191: the proof takes 5,811 nodes, and the lex-min phase, run
+    # per component, fits in what is left of 20,000 and is cached.
+    path = tmp_path / "cache.jsonl"
+    budget = Budget(max_nodes=20_000, max_seconds=math.inf)
+    result = exact_max(191, budget=budget, cache=SearchCache(str(path)))
+    assert result.exact and result.max_size == 42
+    assert result.nodes_expanded == 5811
+    assert result.witness == (
+        1, 5, 6, 7, 13, 16, 17, 27, 33, 38, 42, 47, 50, 58, 60, 62, 70, 71,
+        72, 74, 77, 78, 88, 91, 92, 118, 122, 123, 130, 135, 137, 146, 159,
+        160, 162, 165, 169, 170, 171, 172, 179, 189)
+    assert is_b1_set(result.witness, 191).valid
+    assert SearchCache(str(path)).get(191, 4).witness == result.witness
+
+
 def _brute_alpha(neigh, cand):
     if not cand:
         return 0
@@ -148,6 +166,44 @@ def test_core_matches_brute_force_alpha():
                     assert bin(mask).count("1") >= need
                     assert all(not neigh[v] & mask
                                for v in range(len(neigh)) if mask >> v & 1)
+
+
+def _brute_lexmin(neigh, cand, memo):
+    """Lexicographically smallest maximum independent set inside cand."""
+    if not cand:
+        return ()
+    if cand not in memo:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        take = (v,) + _brute_lexmin(neigh, cand & ~(neigh[v] | low), memo)
+        skip = _brute_lexmin(neigh, cand ^ low, memo)
+        memo[cand] = take if len(take) >= len(skip) else skip
+    return memo[cand]
+
+
+def test_lexmin_witness_of_disjoint_unions_matches_brute_force():
+    # Two generated graphs side by side, their vertices interleaved, so
+    # that the lex-min order alternates between the components.
+    rng = random.Random(11)
+    graphs = list(_graphs())
+    for a, b in zip(graphs[::2], graphs[1::2]):
+        n = len(a) + len(b)
+        label = rng.sample(range(n), n)
+        neigh = [0] * n
+        for offset, part in ((0, a), (len(a), b)):
+            for u, nb in enumerate(part):
+                for v in range(len(part)):
+                    if nb >> v & 1:
+                        neigh[label[offset + u]] |= 1 << label[offset + v]
+        graph = ConflictGraph(n + 1, 4, tuple(range(1, n + 1)), {
+            i + 1: frozenset(j + 1 for j in range(n) if neigh[i] >> j & 1)
+            for i in range(n)})
+        result, lex_min = _run(graph, Budget(10**6, math.inf),
+                               lex_witness=True, unit_split=False)
+        expected = _brute_lexmin(neigh, (1 << n) - 1, {})
+        assert result.exact and lex_min
+        assert result.max_size == len(expected)
+        assert result.witness == tuple(v + 1 for v in expected), (a, b)
 
 
 def test_budget_is_hashable_value_object():
