@@ -28,7 +28,7 @@ from .constructions import (ConstructionError, ConstructionReport, Piece,
 from .numtheory import coset_reps, divisors, euler_phi, mult_order, subgroup
 from .residues import Instance, decompose, divisor_class
 from .search import (Budget, SearchCache, SearchResult, conflict_graph,
-                     exact_max, exact_max_in_subset)
+                     exact_max)
 from .verifier import (Verdict, build_syndrome_table, format_witness,
                        is_b1_set, is_b1_set_reference)
 
@@ -42,8 +42,8 @@ __all__ = [
     "build_syndrome_table", "build_twice_odd", "conflict_graph", "construct",
     "coset_reps", "decode", "decompose", "divisor_class",
     "divisor_context", "divisors", "encode", "euler_phi", "exact_max",
-    "exact_max_in_subset", "format_witness", "hamming_upper_bound",
-    "is_b1_set", "is_b1_set_reference", "is_codeword", "make_code",
-    "mult_order", "pivot_index", "simulate_channel", "subgroup",
+    "format_witness", "hamming_upper_bound", "is_b1_set",
+    "is_b1_set_reference", "is_codeword", "make_code", "mult_order",
+    "pivot_index", "simulate_channel", "subgroup",
     "__version__",
 ]

@@ -72,7 +72,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         args.parser.error(
             f"--q {args.q}: odd part {instance.r} is divisible by 3; "
             "supported moduli are 2^k * r with gcd(r, 6) = 1")
-    report = construct(args.q)
+    report = construct(args.q, budget=_CLI_DEFAULT_BUDGET)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
         return 0

@@ -11,8 +11,8 @@ module builds such sets of maximum known size for ``q = 2**k * r`` with
   whose odd part has gcd-cofactor ``d`` and is produced by an explicit
   pattern over the orbit structure of 3 (and, where needed, of 2) in the
   units mod ``2d``.  Some patterns are provably maximum within their
-  class; the rest are lower bounds which an optional in-class exact
-  search can certify or improve (``refine=True``).
+  class; the rest are lower bounds, which ``exact_max(2d)`` restricted
+  to ``V_d`` certifies or improves while the class is small.
 * ``q = 4r``   -- an exactly maximum set of size ``r - 1`` (this meets
   the counting upper bound ``floor((q-1)/4)``), assembled from one piece
   per divisor ``d > 1`` of ``r``.
@@ -30,8 +30,8 @@ only inside the assembled set.  A failure raises
 
 Every pattern piece is valid (each one is verified as it is built), but
 not every piece is maximum in its class.  Against an independent exact
-search, construct matches the true maximum for all even ``q <= 106``
-(with ``refine``), and the pattern sums alone match it for every
+search, construct matches the true maximum for all even ``q <= 106``,
+and the pattern sums alone (without ``refine``) match it for every
 ``q = 2r``, ``r <= 53``.  Beyond that some patterns fall short (first at
 d = 59, 71, 73, 79); only the cases in :data:`OPTIMAL_CASES` and
 search-certified pieces are claimed maximum.
@@ -52,13 +52,8 @@ from .numtheory import (
     mult_order,
     subgroup,
 )
-from .residues import Instance, divisor_class
-from .search import (
-    Budget,
-    SearchResult,
-    exact_max,
-    exact_max_in_subset,
-)
+from .residues import Instance
+from .search import Budget, exact_max
 from .verifier import format_witness, is_b1_set
 
 __all__ = [
@@ -404,8 +399,8 @@ OPTIMAL_CASES = frozenset({
     "n-even/t-odd/s-odd",
 })
 
-#: Largest class size |V_d| = 2*phi(d) for which build_twice_odd's
-#: refine step runs an exact in-class search on non-certified cases.
+#: Largest class size |V_d| = 2*phi(d) that build_twice_odd's refine
+#: step certifies by exact_max(2d) restricted to V_d.
 REFINE_VERTEX_CAP = 128
 
 
@@ -557,17 +552,21 @@ def build_divisor_piece(d: int, q: int) -> Piece:
 
 
 @lru_cache(maxsize=None)
-def _primitive_class_search(d: int, budget: Optional[Budget]) -> SearchResult:
-    """Exact search over the class V_d at its primitive modulus 2d.
+def _class_optimum(d: int,
+                   budget: Optional[Budget]) -> tuple[tuple[int, ...], bool]:
+    """The lex-min maximum valid set in V_d at its primitive modulus 2d,
+    and whether the search behind it was exact.
 
-    Scaling by r/d is a conflict-preserving bijection from V_d mod 2d to
-    V_d mod 2r (syndrome collisions correspond exactly), so the in-class
-    maximum and a witness found here serve every multiple r of d; the
-    result is memoized per divisor.
+    V_d mod 2d, the residues prime to d, is a union of components of the
+    conflict graph (e <= 4 is prime to d, so e*x == e'*y (mod 2d) forces
+    gcd(x, d) = gcd(y, d)), and the lex-min optimum of a disjoint union
+    is the union of its components' ones.  Scaling by r/d is a
+    conflict-preserving bijection onto V_d mod 2r, so the memoized result
+    serves every multiple r of d.
     """
-    q = 2 * d
-    return exact_max_in_subset(q, 4, divisor_class(Instance(q, 1, d, 4), d),
-                               budget=budget)
+    result = exact_max(2 * d, budget=budget)
+    return (tuple(x for x in result.witness if math.gcd(x, d) == 1),
+            result.exact)
 
 
 def build_twice_odd(r: int, *, refine: bool = True,
@@ -577,10 +576,10 @@ def build_twice_odd(r: int, *, refine: bool = True,
     The maximum for q = 2r is the sum over divisors d | r of the in-class
     maxima, so each divisor is handled independently.  With ``refine``
     (the default), any divisor whose pattern is not proven optimal and
-    whose class has at most REFINE_VERTEX_CAP residues gets an exact
-    in-class search: the search result either certifies the pattern or
-    replaces it with something larger (that happens: the d=59 pattern
-    gives 18 where 25 is achievable, so pattern sums alone can
+    whose class has at most REFINE_VERTEX_CAP residues is checked against
+    exact_max(2d) restricted to V_d: that maximum either certifies the
+    pattern or replaces it with something larger (that happens: the d=59
+    pattern gives 18 where 25 is achievable, so pattern sums alone can
     undershoot -- first at q = 118).
 
     ``tight`` is True when every divisor class is certified, making the
@@ -597,13 +596,12 @@ def build_twice_odd(r: int, *, refine: bool = True,
             continue
         piece = build_divisor_piece(d, q)
         if refine and not piece.certified and 2 * euler_phi(d) <= REFINE_VERTEX_CAP:
-            sub = _primitive_class_search(d, budget)
-            if sub.max_size > piece.size:
+            witness, exact = _class_optimum(d, budget)
+            if len(witness) > piece.size:
                 scale = r // d
                 piece = Piece(d, piece.case + "+search",
-                              frozenset(x * scale % q for x in sub.witness),
-                              sub.exact)
-            elif sub.exact:
+                              frozenset(x * scale % q for x in witness), exact)
+            elif exact:
                 piece = Piece(d, piece.case, piece.elements, True)
         pieces.append(piece)
     return _assemble(instance, pieces, all(p.certified for p in pieces))
@@ -723,7 +721,7 @@ def build_eightfold(k: int, r: int,
 # Dispatcher
 # --------------------------------------------------------------------------
 
-def construct(q: int, lam: int = 4, *, refine: bool = True,
+def construct(q: int, lam: int = 4, *,
               budget: Optional[Budget] = None) -> ConstructionReport:
     """Best known valid set for modulus q = 2**k r with gcd(r, 6) = 1.
 
@@ -732,7 +730,7 @@ def construct(q: int, lam: int = 4, *, refine: bool = True,
     * k = 0: no explicit pattern exists for odd moduli -- the exact
       search provides the set (tight when the search completed within
       budget).
-    * k = 1: per-divisor patterns, optionally refined by in-class search.
+    * k = 1: per-divisor patterns, refined by exact search on small classes.
     * k = 2: the exact size-(r-1) construction.
     * k >= 3: the eightfold recursion on construct(q / 8).
 
@@ -762,11 +760,11 @@ def construct(q: int, lam: int = 4, *, refine: bool = True,
             tight=result.exact,
         )
     elif k == 1:
-        report = build_twice_odd(r, refine=refine, budget=budget)
+        report = build_twice_odd(r, budget=budget)
     elif k == 2:
         report = build_four_times_odd(r)
     else:
-        base = construct(q >> 3, lam, refine=refine, budget=budget)
+        base = construct(q >> 3, lam, budget=budget)
         report = build_eightfold(k, r, base)
     if k % 3 == 2 and k >= 2:
         closed_form = (q + 3 * r - 7) // 7

@@ -28,6 +28,9 @@ search is a deterministic branch-and-bound maximum-independent-set solver:
   confirmed by the same expansion in decision mode, with the best preset
   to one below the size needed.
 
+There is one entry point, over all of Z_q: the part of the lex-min
+witness inside a union of components is that union's lex-min optimum.
+
 One node is one expansion; the node budget covers both phases, the
 witness phase spending what the proof left.  `nodes_expanded` counts the
 nodes of the optimization phase only, so repeated runs on the same inputs
@@ -35,7 +38,9 @@ report identical numbers.
 
 Results can be persisted to an append-only JSONL cache keyed by (q, lam);
 only exactly-solved records of the default search (lex-min witness, unit
-split) whose witness phase finished are stored and reused.
+split) whose witness phase finished are stored and reused.  The file is
+input from outside: a line is loaded only if it is a JSON object whose
+witness is a valid set of ``max_size`` elements at (q, lam).
 """
 
 from __future__ import annotations
@@ -45,7 +50,9 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
+
+from .verifier import is_b1_set_reference
 
 __all__ = [
     "Budget",
@@ -56,7 +63,6 @@ __all__ = [
     "is_admissible",
     "conflict_graph",
     "exact_max",
-    "exact_max_in_subset",
     "default_cache_path",
     "DEFAULT_CACHE_FILENAME",
     "CACHE_ENV_VAR",
@@ -98,9 +104,8 @@ class ConflictGraph:
     neighbors: dict[int, frozenset[int]]
 
 
-def conflict_graph(q: int, lam: int = 4,
-                   allowed: Optional[Iterable[int]] = None) -> ConflictGraph:
-    """Build the conflict graph on Z_q (or on `allowed` residues only).
+def conflict_graph(q: int, lam: int = 4) -> ConflictGraph:
+    """Build the conflict graph on Z_q.
 
     Two admissible vertices conflict iff some e*x == e'*y (mod q) with
     e, e' in [1, lam]; grouping all vertices by each product value makes
@@ -108,8 +113,7 @@ def conflict_graph(q: int, lam: int = 4,
     """
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    universe = range(1, q) if allowed is None else sorted({x % q for x in allowed} - {0})
-    verts = [x for x in universe if is_admissible(x, q, lam)]
+    verts = [x for x in range(1, q) if is_admissible(x, q, lam)]
     buckets: dict[int, list[int]] = {}
     for x in verts:
         for s in syndrome_set(x, q, lam):
@@ -171,7 +175,7 @@ class SearchCache:
                         continue
                     try:
                         rec = json.loads(line)
-                        if not rec.get("exact"):
+                        if not isinstance(rec, dict) or not rec.get("exact"):
                             continue
                         res = SearchResult(
                             q=int(rec["q"]), lam=int(rec["lambda"]),
@@ -179,7 +183,10 @@ class SearchCache:
                             witness=tuple(int(x) for x in rec["witness"]),
                             nodes_expanded=int(rec["nodes"]),
                             elapsed=float(rec["ms"]) / 1000.0, exact=True)
-                        self._mem[(res.q, res.lam)] = res
+                        # outside input: the check costs lam*|B|, whatever q
+                        if is_b1_set_reference(res.witness, res.q, res.lam) \
+                                and len(res.witness) == res.max_size:
+                            self._mem[(res.q, res.lam)] = res
                     except (KeyError, TypeError, ValueError):
                         continue  # tolerate foreign/corrupt lines
         except FileNotFoundError:
@@ -436,15 +443,3 @@ def exact_max(q: int, lam: int = 4, budget: Optional[Budget] = None,
     if cache is not None and lex_min:
         cache.put(result)
     return result
-
-
-def exact_max_in_subset(q: int, lam: int, allowed: Iterable[int],
-                        budget: Optional[Budget] = None) -> SearchResult:
-    """Exact maximum valid set confined to `allowed` residues.
-
-    No unit-symmetry split here: an arbitrary allowed set need not be
-    closed under unit scaling.  Results are not cached (the cache is
-    keyed by (q, lam) only).
-    """
-    return _run(conflict_graph(q, lam, allowed), budget or DEFAULT_BUDGET,
-                lex_witness=True, unit_split=False)[0]

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import itertools
 import json
+import time
 
 import pytest
 
@@ -31,6 +33,17 @@ def test_construct_example_q190(capsys):
     code, out, _ = run(capsys, "construct", "--q", "190")
     assert code == 0
     assert "size = 47" in out
+
+
+def test_construct_does_not_depend_on_the_clock(capsys, monkeypatch):
+    # A clock that runs 100 s per reading: only a node budget lets the
+    # odd base 61 of q = 3904 = 2**6 * 61 finish, as on any machine.
+    ticks = itertools.count(0.0, 100.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
+    code, out, _ = run(capsys, "construct", "--q", "3904", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["size"] == 561 and data["tight"] is True
 
 
 def test_construct_usage_error_on_bad_modulus(capsys):

@@ -14,6 +14,7 @@ from golden_data import (
 from magset.constructions import (
     OPTIMAL_CASES,
     ConstructionError,
+    _class_optimum,
     _domain_wall_exponents,
     _grid_cells,
     _orbit_exponents,
@@ -25,6 +26,8 @@ from magset.constructions import (
     divisor_context,
     hamming_upper_bound,
 )
+from magset.residues import Instance
+from magset.search import exact_max
 from magset.verifier import is_b1_set, is_b1_set_reference
 
 
@@ -164,6 +167,34 @@ def test_twice_odd_refinement_beats_pattern():
     assert is_b1_set(refined.elements, 118).valid
     # The domain-wall pattern already reaches the maximum 19 at r = 49.
     assert build_twice_odd(49, refine=False).size == 19
+
+
+# Maximum of V_d at 2d for every refine divisor (2 * phi(d) <= 128), as
+# an exact search confined to the residues of V_d found it.
+CLASS_MAXIMA = {
+    5: 2, 7: 2, 11: 3, 13: 4, 17: 5, 19: 9, 23: 8, 25: 10, 29: 14, 31: 12,
+    35: 12, 37: 16, 41: 16, 43: 21, 47: 18, 49: 17, 53: 26, 55: 20, 59: 25,
+    61: 25, 65: 24, 77: 30, 85: 32,
+}
+
+
+def test_class_optimum_is_the_in_class_maximum():
+    for d, size in CLASS_MAXIMA.items():
+        witness, exact = _class_optimum(d, None)
+        assert exact and len(witness) == size, d
+        assert all(math.gcd(x, d) == 1 for x in witness), d
+        assert is_b1_set_reference(witness, 2 * d).valid, d
+    # The same classes at q = 190 = 2 * 95: scaling by r/d keeps order,
+    # so the part of the lex-min optimum in V_d is the scaled class optimum.
+    inst = Instance.from_q(190)
+    full = exact_max(190)
+    for d, size in ((19, 9), (5, 2)):
+        part = tuple(x for x in full.witness
+                     if inst.r // math.gcd(x, inst.r) == d)
+        assert len(part) == size
+        witness = _class_optimum(d, None)[0]
+        assert part == tuple(x * (inst.r // d) for x in witness)
+        assert is_b1_set(part, 190).valid
 
 
 def test_domain_wall_branch_pieces():

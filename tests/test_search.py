@@ -9,7 +9,6 @@ import time
 import pytest
 
 from golden_data import GOLDEN_SIZES
-from magset.residues import Instance, divisor_class
 from magset.search import (
     Budget,
     ConflictGraph,
@@ -19,7 +18,6 @@ from magset.search import (
     conflict_graph,
     default_cache_path,
     exact_max,
-    exact_max_in_subset,
     is_admissible,
     syndrome_set,
 )
@@ -73,15 +71,6 @@ def test_unit_split_agrees_with_unreduced():
         plain = exact_max(q, unit_split=False)
         assert reduced.max_size == plain.max_size, q
         assert reduced.witness == plain.witness, q
-
-
-def test_subset_search_divisor_classes():
-    inst = Instance.from_q(190)
-    for d, expected in ((19, 9), (5, 2)):
-        result = exact_max_in_subset(190, 4, divisor_class(inst, d))
-        assert result.exact and result.max_size == expected
-        assert is_b1_set(result.witness, 190).valid
-        assert all(inst.r // math.gcd(x, inst.r) == d for x in result.witness)
 
 
 def test_budget_cuts_off_with_lower_bound():
@@ -239,6 +228,34 @@ def test_cache_skips_inexact_and_foreign_lines(tmp_path):
     cache = SearchCache(str(path))
     assert cache.get(20, 4).max_size == 4
     assert cache.get(1, 4) is None
+
+
+def test_cache_skips_json_lines_that_are_not_objects(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('42\n[1, 2]\n"text"\nnull\n'
+                    + json.dumps(exact_max(20).to_record()) + "\n")
+    cache = SearchCache(str(path))
+    assert cache.get(20, 4).max_size == 4
+
+
+def test_cache_skips_records_its_witness_contradicts(tmp_path):
+    # Neither a size that the witness does not have nor an invalid
+    # witness of the stated size is served; the search recomputes.
+    path = tmp_path / "cache.jsonl"
+    lines = [
+        {"q": 44, "lambda": 4, "max_size": 99, "witness": [1, 2],
+         "nodes": 1, "ms": 0, "exact": True},
+        {"q": 40, "lambda": 4, "max_size": 2, "witness": [1, 2],
+         "nodes": 1, "ms": 0, "exact": True},
+        {"q": 40, "lambda": 4, "max_size": 1, "witness": [40],
+         "nodes": 1, "ms": 0, "exact": True},
+    ]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    cache = SearchCache(str(path))
+    assert cache.get(44, 4) is None and cache.get(40, 4) is None
+    result = exact_max(44, cache=cache)
+    assert result.max_size == 10 and len(result.witness) == 10
+    assert SearchCache(str(path)).get(44, 4).max_size == 10
 
 
 def test_cache_serves_only_lex_min_witnesses(tmp_path):
