@@ -25,8 +25,8 @@ from .constructions import (ConstructionError, ConstructionReport, Piece,
                             build_divisor_piece, build_eightfold,
                             build_four_times_odd, build_twice_odd, construct,
                             divisor_context, hamming_upper_bound)
-from .numtheory import coset_reps, divisors, euler_phi, mult_order, subgroup
-from .residues import Instance, decompose, divisor_class
+from .numtheory import coset_reps, divisors, euler_phi, mult_order
+from .residues import Instance
 from .search import (Budget, SearchCache, SearchResult, conflict_graph,
                      exact_max)
 from .verifier import (Verdict, build_syndrome_table, format_witness,
@@ -40,10 +40,10 @@ __all__ = [
     "SearchResult", "UnknownSyndromeError", "Verdict",
     "build_divisor_piece", "build_eightfold", "build_four_times_odd",
     "build_syndrome_table", "build_twice_odd", "conflict_graph", "construct",
-    "coset_reps", "decode", "decompose", "divisor_class",
-    "divisor_context", "divisors", "encode", "euler_phi", "exact_max",
-    "format_witness", "hamming_upper_bound", "is_b1_set",
+    "coset_reps", "decode", "divisor_context", "divisors", "encode",
+    "euler_phi", "exact_max", "format_witness", "hamming_upper_bound",
+    "is_b1_set",
     "is_b1_set_reference", "is_codeword", "make_code", "mult_order",
-    "pivot_index", "simulate_channel", "subgroup",
+    "pivot_index", "simulate_channel",
     "__version__",
 ]

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .codec import (UnknownSyndromeError, decode, encode, make_code,
                     simulate_channel)
-from .constructions import (build_divisor_piece, construct, divisor_context,
+from .constructions import (build_twice_odd, construct, divisor_context,
                             hamming_upper_bound)
 from .residues import Instance
 from .search import Budget, SearchCache, default_cache_path, exact_max
@@ -154,7 +154,7 @@ def _table_rows(max_p: int, oracle: bool) -> tuple[list[list[str]], list[list[st
     rows_b: list[list[str]] = []
     for p in _primes_in(5, max_p):
         ctx = divisor_context(p)
-        piece = build_divisor_piece(p, 2 * p)
+        piece = build_twice_odd(p, refine=False).pieces[-1]  # d = p
         size = f"{piece.size}" if piece.certified else f">={piece.size}"
         witness = " ".join(str(x) for x in sorted(piece.elements))
         extra: list[str] = []

@@ -22,17 +22,18 @@ module builds such sets of maximum known size for ``q = 2**k * r`` with
   ``q / 8``.  The layer size is exact, so the result is maximum exactly
   when the recursive base is.
 
-Every constructed set is passed through the verifier before being
-reported, and so is every ``q = 2r`` pattern piece on its own, at its
-primitive modulus ``2d``; the ``q = 4r`` and eightfold pieces are checked
-only inside the assembled set.  A failure raises
-:class:`ConstructionError` rather than returning a bad set.
+Every constructed set is passed through the verifier, as a whole,
+before being reported; a failure raises :class:`ConstructionError`
+rather than returning a bad set.  Pieces are checked only inside that
+union: a ``q = 2r`` piece is valid at ``q`` exactly when its pattern is
+valid at ``2d``, since scaling by ``r/d`` maps conflicts to conflicts
+both ways.
 
-Every pattern piece is valid (each one is verified as it is built), but
-not every piece is maximum in its class.  Against an independent exact
-search, construct matches the true maximum for all even ``q <= 106``,
-and the pattern sums alone (without ``refine``) match it for every
-``q = 2r``, ``r <= 53``.  Beyond that some patterns fall short (first at
+Every pattern piece is valid, but not every piece is maximum in its
+class.  Against an independent exact search, construct matches the true
+maximum for all even ``q <= 106``, and the pattern sums alone
+(``build_twice_odd(r, refine=False)``) match it for every ``q = 2r``,
+``r <= 53``.  Beyond that some patterns fall short (first at
 d = 59, 71, 73, 79); only the cases in :data:`OPTIMAL_CASES` and
 search-certified pieces are claimed maximum.
 """
@@ -44,14 +45,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .numtheory import (
-    coset_reps,
-    divisors,
-    dlog3,
-    euler_phi,
-    mult_order,
-    subgroup,
-)
+from .numtheory import coset_reps, divisors, euler_phi, mult_order
 from .residues import Instance
 from .search import Budget, exact_max
 from .verifier import format_witness, is_b1_set
@@ -84,8 +78,8 @@ def hamming_upper_bound(q: int, lam: int = 4) -> int:
     there are ``q - 1``.  The bound is met for ``q = 4r`` but is not
     tight in general (e.g. q=40 allows 9 while the true maximum is 6).
     """
-    if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
+    if q < 1 or lam < 1:
+        raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
     return (q - 1) // lam
 
 
@@ -126,33 +120,40 @@ class DivisorContext:
 
 
 def divisor_context(d: int) -> DivisorContext:
-    """Compute the orbit parameters that select a pattern for divisor d."""
+    """Compute the orbit parameters that select a pattern for divisor d.
+
+    The orbit of 3 mod d is walked once into a map from residue to
+    exponent; n is its size, family A's s is the exponent of 2, family
+    B's t is the first power of 2 that lands in the orbit and its s the
+    exponent of that power's inverse.
+    """
     if d < 5 or math.gcd(d, 6) != 1:
         raise ConstructionError(
             f"divisor contexts exist for d >= 5 with gcd(d, 6) = 1, got d={d}")
-    n = mult_order(3, d)  # equals mult_order(3, 2*d): 3 is odd
-    s_two = dlog3(2, d)
+    log: dict[int, int] = {}  # 3**e mod d -> e, for 0 <= e < n
+    x = 1
+    while x not in log:
+        log[x] = len(log)
+        x = x * 3 % d
+    n = len(log)  # equals the order of 3 mod 2d: 3 is odd
+    s_two = log.get(2)
     if s_two is not None:
         m = min(s_two, n - s_two)
         k_prime = n // (2 * m)
-        r_prime = n - 2 * k_prime * m
-        reps = coset_reps((3,), 2 * d).representatives
-        if len(reps) * n != euler_phi(d):
-            raise ConstructionError(f"coset count mismatch for d={d}")
-        return DivisorContext(d=d, n=n, two_in_three=True, s=s_two,
-                              reps=reps, m=m, k_prime=k_prime,
-                              r_prime=r_prime)
-    t = len(subgroup((2, 3), d)) // n
-    b = d + 2  # odd representative of 2 modulo d
-    reps = coset_reps((3, b), 2 * d).representatives
-    inv = pow(pow(2, t, d), -1, d)
-    s = 0 if inv == 1 else dlog3(inv, d)
-    if s is None or pow(2, t, d) * pow(3, s, d) % d != 1:
-        raise ConstructionError(f"no exponent s with 2^t 3^s = 1 mod {d}")
-    if len(reps) * t * n != euler_phi(d):
+        ctx = DivisorContext(d=d, n=n, two_in_three=True, s=s_two,
+                             reps=coset_reps((3,), 2 * d), m=m,
+                             k_prime=k_prime, r_prime=n - 2 * k_prime * m)
+    else:
+        t, two_t = 1, 2
+        while two_t not in log:
+            t, two_t = t + 1, two_t * 2 % d
+        b = d + 2  # odd representative of 2 modulo d
+        ctx = DivisorContext(d=d, n=n, two_in_three=False,
+                             s=log[pow(two_t, -1, d)],
+                             reps=coset_reps((3, b), 2 * d), t=t, b=b)
+    if len(ctx.reps) * (ctx.t or 1) * n != euler_phi(d):
         raise ConstructionError(f"coset count mismatch for d={d}")
-    return DivisorContext(d=d, n=n, two_in_three=False, s=s,
-                          reps=reps, t=t, b=b)
+    return ctx
 
 
 # --------------------------------------------------------------------------
@@ -513,9 +514,11 @@ def build_divisor_piece(d: int, q: int) -> Piece:
     """The explicit pattern piece for divisor d, scaled into modulus q.
 
     ``q`` must be twice an odd multiple of ``d`` (coprime to 3).  The
-    pattern is built at the primitive modulus ``2d``, checked there, and
-    carried into ``q`` by ``x -> x * (q / 2d)``, which maps valid sets
-    within the unit class mod 2d to valid sets within V_d mod q.
+    pattern is built at the primitive modulus ``2d`` and carried into
+    ``q`` by ``x -> x * (q / 2d)``, which maps valid sets within the unit
+    class mod 2d to valid sets within V_d mod q and invalid ones to
+    invalid ones.  The piece is not verified here: the assembled set it
+    goes into is (see :func:`build_twice_odd`).
     """
     r = q // 2
     if q != 2 * r or r % d != 0 or r % 2 == 0 or math.gcd(r, 6) != 1:
@@ -542,7 +545,6 @@ def build_divisor_piece(d: int, q: int) -> Piece:
         raise ConstructionError(
             f"pattern for d={d} produced {len(piece_set)} elements, "
             f"expected {expected} (case {label})")
-    _verify_or_raise(piece_set, qd, f"pattern piece for d={d} (case {label})")
     scale = r // d
     elements = frozenset(x * scale % q for x in piece_set)
     if len(elements) != len(piece_set):
@@ -622,7 +624,7 @@ def _orbit_layer(q: int, modulus: int, rd: int, n: int, twist: int,
     evens, odds = ((n, range(0)) if n % 2 == 1
                    else (n // 2, range(odd_from, odd_from + n // 2)))
     layer: set[int] = set()
-    for a in coset_reps((3,), modulus).representatives:
+    for a in coset_reps((3,), modulus):
         alpha = a * rd % q
         layer.update(pow(3, 2 * i, q) * alpha % q for i in range(evens))
         layer.update(pow(3, 2 * i + 1, q) * (alpha + twist) % q for i in odds)

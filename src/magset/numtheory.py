@@ -1,6 +1,6 @@
-"""Modular-arithmetic substrate: factorization, totients, multiplicative
-orders, base-3 discrete logs, unit subgroups, and coset representative
-systems.
+"""Modular-arithmetic substrate: factorization, divisors, totients,
+2-adic valuations, multiplicative orders and coset transversals in the
+unit group.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share across threads.  Target scale is moduli up to
@@ -16,16 +16,13 @@ from functools import lru_cache
 
 __all__ = [
     "Factorization",
-    "CosetSystem",
     "factorize",
     "divisors",
     "euler_phi",
     "mult_order",
     "mult_order_naive",
     "two_adic_valuation",
-    "subgroup",
     "coset_reps",
-    "dlog3",
 ]
 
 
@@ -46,16 +43,6 @@ class Factorization:
             prod *= p**e
         if prod != self.value:
             raise ValueError("factor product does not equal value")
-
-
-@dataclass(frozen=True)
-class CosetSystem:
-    """A transversal of the cosets of <generators> inside the unit group."""
-
-    modulus: int
-    generators: tuple[int, ...]
-    subgroup_order: int
-    representatives: tuple[int, ...]  # ascending; always starts with 1
 
 
 @lru_cache(maxsize=None)
@@ -163,61 +150,31 @@ def _order_mod_prime_power(l: int, p: int, e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def subgroup(generators: tuple[int, ...], modulus: int) -> frozenset[int]:
-    """The subgroup of units mod modulus generated by the given residues."""
+def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
+    """Ascending coset transversal of <generators> in the units mod modulus.
+
+    Units are scanned in ascending order; each one not yet covered is a
+    representative, and its coset is covered by walking the generators
+    from it.  1 is therefore always the first representative.
+    """
     for g in generators:
         if math.gcd(g, modulus) != 1:
             raise ValueError(f"generator {g} is not a unit mod {modulus}")
-    group = {1 % modulus}
-    frontier = [1 % modulus]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = x * g % modulus
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
-    return frozenset(group)
-
-
-@lru_cache(maxsize=None)
-def coset_reps(generators: tuple[int, ...], modulus: int) -> CosetSystem:
-    """Deterministic coset transversal of <generators> in the unit group.
-
-    Scan units in ascending order and emit any unit not in a previously
-    covered coset; 1 is therefore always the first representative.
-    """
-    gens = tuple(generators)
-    sub = subgroup(gens, modulus)
-    covered: set[int] = set()
+    if modulus == 1:
+        return (1,)
+    covered = bytearray(modulus)
     reps: list[int] = []
-    for a in range(1, modulus + 1 if modulus == 1 else modulus):
-        if math.gcd(a, modulus) != 1 or a in covered:
+    for a in range(1, modulus):
+        if covered[a] or math.gcd(a, modulus) != 1:
             continue
         reps.append(a)
-        covered.update(a * h % modulus for h in sub)
-    return CosetSystem(modulus, gens, len(sub), tuple(reps))
-
-
-@lru_cache(maxsize=None)
-def dlog3(target: int, d: int) -> int | None:
-    """Smallest s >= 1 with 3**s == target (mod d), or None if unreachable.
-
-    For target == 1 this returns the full order of 3 (the smallest
-    positive exponent hitting 1).
-    """
-    if d < 1 or math.gcd(target, d) != 1 or math.gcd(3, d) != 1:
-        raise ValueError(f"dlog3 requires gcd(target, d) = gcd(3, d) = 1, "
-                         f"got target={target}, d={d}")
-    if d == 1:
-        return 1
-    target %= d
-    x = 3 % d
-    s = 1
-    n = mult_order(3, d)
-    while s <= n:
-        if x == target:
-            return s
-        x = x * 3 % d
-        s += 1
-    return None
+        covered[a] = 1
+        frontier = [a]
+        while frontier:
+            x = frontier.pop()
+            for g in generators:
+                y = x * g % modulus
+                if not covered[y]:
+                    covered[y] = 1
+                    frontier.append(y)
+    return tuple(reps)

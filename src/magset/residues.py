@@ -1,24 +1,15 @@
-"""Structural decompositions of Z_q used by the constructions: the
-divisor-class partition V_d with its 2-adic layers U_i, the
-valuation-class partitions of Z_q \\ {0}, and the doubling map.
+"""The problem instance: a modulus q = 2**k * r (r odd) with its
+magnitude bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .numtheory import divisors, euler_phi, two_adic_valuation
+from .numtheory import two_adic_valuation
 
-__all__ = [
-    "Instance",
-    "VdDecomposition",
-    "decompose",
-    "divisor_class",
-    "n_partition_k3",
-    "n_partition_k2",
-    "theta2",
-]
+__all__ = ["Instance"]
 
 
 @dataclass(frozen=True)
@@ -46,79 +37,3 @@ class Instance:
     def coprime_to_six(self) -> bool:
         """Whether the odd part avoids the factor 3 (construction paths need this)."""
         return math.gcd(self.r, 6) == 1
-
-
-@dataclass(frozen=True)
-class VdDecomposition:
-    """One divisor class V_d of Z_q with its 2-adic layers U_0..U_k.
-
-    V_d = {a * r/d mod q : a in Z_{2^k d}, gcd(a, d) = 1}
-        = {x in Z_q : r / gcd(x, r) = d};
-    U_i = {x in V_d : gcd(x, 2**k) = 2**i}.
-    """
-
-    instance: Instance
-    d: int
-    v_d: frozenset[int]
-    u: tuple[frozenset[int], ...] = field(repr=False)
-
-
-def divisor_class(instance: Instance, d: int) -> frozenset[int]:
-    """The set V_d for one divisor d of r, by direct membership test."""
-    q, r = instance.q, instance.r
-    if r % d != 0:
-        raise ValueError(f"d={d} does not divide r={r}")
-    return frozenset(x for x in range(q) if r // math.gcd(x, r) == d)
-
-
-def decompose(instance: Instance) -> list[VdDecomposition]:
-    """All divisor classes of Z_q, ascending in d, each with its U_i layers.
-
-    The classes are pairwise disjoint and cover Z_q; |V_d| = phi(d) * 2**k
-    for d > 1 and |V_1| = 2**k.
-    """
-    q, k = instance.q, instance.k
-    out = []
-    for d in divisors(instance.r):
-        v_d = divisor_class(instance, d)
-        layers = []
-        for i in range(k + 1):
-            layers.append(frozenset(x for x in v_d if math.gcd(x, 1 << k) == 1 << i))
-        out.append(VdDecomposition(instance, d, v_d, tuple(layers)))
-    return out
-
-
-def n_partition_k3(instance: Instance) -> tuple[frozenset[int], ...]:
-    """Partition of Z_q \\ {0} by 2-adic valuation for k >= 3.
-
-    Classes: odd residues; 2 * odd; 4 * odd; nonzero multiples of 8.
-    """
-    if instance.k < 3:
-        raise ValueError(f"requires k >= 3, got k={instance.k}")
-    return _valuation_classes(instance.q, cutoffs=(0, 1, 2))
-
-
-def n_partition_k2(instance: Instance) -> tuple[frozenset[int], ...]:
-    """Partition of Z_q \\ {0} for k = 2: odd; 2 * odd; nonzero multiples of 4."""
-    if instance.k != 2:
-        raise ValueError(f"requires k = 2, got k={instance.k}")
-    return _valuation_classes(instance.q, cutoffs=(0, 1))
-
-
-def _valuation_classes(q: int, cutoffs: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    buckets: list[set[int]] = [set() for _ in range(len(cutoffs) + 1)]
-    for x in range(1, q):
-        v = two_adic_valuation(x)
-        buckets[v if v in cutoffs else len(cutoffs)].add(x)
-    return tuple(frozenset(b) for b in buckets)
-
-
-def theta2(x: int, q: int) -> int:
-    """The doubling map x -> 2x mod q.
-
-    Restricted to the layers of any V_d (d > 1) at q = 2r it is a
-    bijection U_0 -> U_1 and a bijection U_1 -> U_1.
-    """
-    if q % 2 != 0:
-        raise ValueError(f"doubling map is defined for even moduli, got q={q}")
-    return 2 * x % q

@@ -111,8 +111,8 @@ def conflict_graph(q: int, lam: int = 4) -> ConflictGraph:
     e, e' in [1, lam]; grouping all vertices by each product value makes
     every product-sharing group a clique.
     """
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
+    if q < 1 or lam < 1:
+        raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
     verts = [x for x in range(1, q) if is_admissible(x, q, lam)]
     buckets: dict[int, list[int]] = {}
     for x in verts:

@@ -22,6 +22,7 @@ from golden_data import (
     TABLE_CIRCULANT,
     TABLE_GRID,
 )
+from residue_classes import divisor_classes, valuation_classes
 from magset.cli import _table_rows
 from magset.codec import decode, encode, make_code, simulate_channel
 from magset.constructions import (
@@ -30,13 +31,7 @@ from magset.constructions import (
     construct,
 )
 from magset.numtheory import mult_order, mult_order_naive
-from magset.residues import (
-    Instance,
-    decompose,
-    n_partition_k2,
-    n_partition_k3,
-    theta2,
-)
+from magset.residues import Instance
 from magset.search import exact_max
 from magset.verifier import is_b1_set, is_b1_set_reference
 
@@ -232,18 +227,16 @@ def test_criterion_6_property_suites(capsys):
 
     for r in range(1, 1001, 2):
         q = 2 * r
-        inst = Instance.from_q(q)
-        for cls in decompose(inst):
-            if cls.d == 1:
+        for d, _, (u0, u1) in divisor_classes(q):
+            if d == 1:
                 continue
-            u0, u1 = cls.u
-            if {theta2(x, q) for x in u0} != set(u1) or \
-                    {theta2(x, q) for x in u1} != set(u1):
-                failures.append(f"doubling-map bijection fails q={q}, d={cls.d}")
+            if {2 * x % q for x in u0} != set(u1) or \
+                    {2 * x % q for x in u1} != set(u1):
+                failures.append(f"doubling-map bijection fails q={q}, d={d}")
 
     for q in in_scope_moduli(10_000, min_k=2):
         inst = Instance.from_q(q)
-        parts = n_partition_k3(inst) if inst.k >= 3 else n_partition_k2(inst)
+        parts = valuation_classes(q, 3 if inst.k >= 3 else 2)
         union = set()
         total = 0
         for part in parts:

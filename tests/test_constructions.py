@@ -26,6 +26,7 @@ from magset.constructions import (
     divisor_context,
     hamming_upper_bound,
 )
+from magset.numtheory import mult_order_naive
 from magset.residues import Instance
 from magset.search import exact_max
 from magset.verifier import is_b1_set, is_b1_set_reference
@@ -36,6 +37,9 @@ def test_hamming_upper_bound():
     assert hamming_upper_bound(20) == 4
     assert hamming_upper_bound(4 * 95) == 94
     assert hamming_upper_bound(17, lam=2) == 8
+    for lam in (0, -1):
+        with pytest.raises(ValueError, match="lam >= 1"):
+            hamming_upper_bound(40, lam)
 
 
 # -- divisor contexts --------------------------------------------------------
@@ -69,6 +73,34 @@ def test_divisor_context_matches_frozen_tables():
             assert ctx.s == HONEST_73["s"]  # fixture row is non-canonical
         else:
             assert ctx.s == s, p
+
+
+def test_divisor_context_matches_brute_force():
+    # n, s, t and the coset count from their definitions, for every
+    # d < 2000 with gcd(d, 6) = 1.
+    for d in range(5, 2000):
+        if math.gcd(d, 6) != 1:
+            continue
+        ctx = divisor_context(d)
+        n = mult_order_naive(3, d)
+        orbit = {pow(3, e, d) for e in range(n)}
+        assert ctx.n == n and ctx.two_in_three == (2 in orbit), d
+        if ctx.two_in_three:
+            s = next(e for e in range(1, n) if pow(3, e, d) == 2)
+            assert ctx.s == s, d
+            assert ctx.m == min(s, n - s), d
+            assert 0 <= ctx.r_prime < 2 * ctx.m, d
+            assert n == 2 * ctx.k_prime * ctx.m + ctx.r_prime, d
+            t = 1
+        else:
+            t = next(t for t in range(1, d) if pow(2, t, d) in orbit)
+            s = next(e for e in range(n)
+                     if pow(2, t, d) * pow(3, e, d) % d == 1)
+            assert (ctx.t, ctx.s, ctx.b) == (t, s, d + 2), d
+        phi = sum(1 for x in range(1, d) if math.gcd(x, d) == 1)
+        assert len(ctx.reps) * t * n == phi, d
+        assert ctx.reps[0] == 1 and list(ctx.reps) == sorted(set(ctx.reps)), d
+        assert all(math.gcd(a, 2 * d) == 1 for a in ctx.reps), d
 
 
 def test_divisor_context_rejects_bad_d():

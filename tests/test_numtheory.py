@@ -1,19 +1,17 @@
 """Arithmetic toolkit: factorization, orders, orbits, coset transversals."""
 
+import itertools
 import math
 
 import pytest
 
 from magset.numtheory import (
-    CosetSystem,
     coset_reps,
     divisors,
-    dlog3,
     euler_phi,
     factorize,
     mult_order,
     mult_order_naive,
-    subgroup,
     two_adic_valuation,
 )
 
@@ -69,61 +67,56 @@ def test_mult_order_rejects_non_unit():
         mult_order(3, 9)
 
 
-# -- discrete log of 2 base 3 -----------------------------------------------
-
-def test_dlog3_examples():
-    assert dlog3(2, 5) == 3
-    assert dlog3(2, 19) == 7
-    assert dlog3(2, 11) is None
-
-
-def test_dlog3_consistency():
-    for d in range(5, 300, 2):
-        if math.gcd(d, 6) != 1:
-            continue
-        s = dlog3(2, d)
-        if s is None:
-            assert 2 not in subgroup((3,), d)
-        else:
-            assert pow(3, s, d) == 2 % d
-            assert 0 <= s < mult_order(3, d)
-
-
-# -- subgroups ------------------------------------------------------------
-
-def test_subgroup_contents():
-    assert subgroup((3,), 10) == {1, 3, 9, 7}
-    assert subgroup((2, 3), 11) == {pow(2, a, 11) * pow(3, b, 11) % 11
-                                    for a in range(10) for b in range(10)}
-
-
 # -- coset transversals ------------------------------------------------------
 
+def brute_subgroup(generators, modulus):
+    """Every product of generator powers, each power below its order."""
+    orders = [mult_order_naive(g, modulus) for g in generators]
+    return {math.prod(pow(g, e, modulus) for g, e in zip(generators, exps))
+            % modulus for exps in itertools.product(*map(range, orders))}
+
+
+def brute_transversal(generators, modulus):
+    """Ascending units, each kept unless an earlier kept unit shares its coset."""
+    sub = brute_subgroup(generators, modulus)
+    reps = []
+    for a in range(1, modulus):
+        if math.gcd(a, modulus) == 1 and all(
+                a * pow(b, -1, modulus) % modulus not in sub for b in reps):
+            reps.append(a)
+    return tuple(reps)
+
+
 def test_coset_reps_examples():
-    assert coset_reps((3,), 10).representatives == (1,)
-    assert coset_reps((3,), 22).representatives == (1, 7)
-    assert coset_reps((3,), 190).representatives == (1, 7)
-    assert coset_reps((3,), 8).representatives == (1, 5)
+    assert coset_reps((3,), 10) == (1,)
+    assert coset_reps((3,), 22) == (1, 7)
+    assert coset_reps((3,), 190) == (1, 7)
+    assert coset_reps((3,), 8) == (1, 5)
+    assert coset_reps((3,), 1) == (1,)
 
 
 def test_coset_reps_rejects_non_unit_generator():
     with pytest.raises(ValueError):
         coset_reps((2,), 10)
+    with pytest.raises(ValueError):
+        coset_reps((3, 11), 22)
 
 
 @pytest.mark.parametrize("modulus", [10, 22, 38, 110, 146, 190, 386])
 def test_coset_reps_partition_units(modulus):
-    system = coset_reps((3,), modulus)
-    assert isinstance(system, CosetSystem)
-    reps = system.representatives
-    assert reps[0] == 1
-    assert list(reps) == sorted(reps)
-    sub = subgroup((3,), modulus)
-    covered = set()
-    for a in reps:
-        coset = {a * g % modulus for g in sub}
-        assert not (coset & covered), "cosets overlap"
-        covered |= coset
-    units = {x for x in range(modulus) if math.gcd(x, modulus) == 1}
-    assert covered == units
-    assert len(reps) * len(sub) == euler_phi(modulus)
+    reps = coset_reps((3,), modulus)
+    assert reps == brute_transversal((3,), modulus)
+    assert len(reps) * len(brute_subgroup((3,), modulus)) == euler_phi(modulus)
+
+
+def test_coset_reps_of_three_and_two_lift():
+    # Family-B divisors d (2 outside the orbit of 3 mod d): the grid
+    # patterns take a transversal of <3, d + 2> in the units mod 2d.
+    family_b = [d for d in range(5, 200) if math.gcd(d, 6) == 1
+                and 2 not in {pow(3, e, d) for e in range(d)}]
+    assert family_b[:5] == [11, 13, 35, 37, 41]
+    for d in family_b:
+        gens = (3, d + 2)
+        reps = coset_reps(gens, 2 * d)
+        assert reps == brute_transversal(gens, 2 * d), d
+        assert len(reps) * len(brute_subgroup(gens, 2 * d)) == euler_phi(d), d

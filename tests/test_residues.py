@@ -1,18 +1,13 @@
-"""Divisor-class and valuation partitions of Z_q."""
+"""The problem instance, and the divisor-class and valuation partitions
+of Z_q (built by the tests' own helper)."""
 
 import math
 
 import pytest
 
 from magset.numtheory import euler_phi
-from magset.residues import (
-    Instance,
-    decompose,
-    divisor_class,
-    n_partition_k2,
-    n_partition_k3,
-    theta2,
-)
+from magset.residues import Instance
+from residue_classes import divisor_classes, valuation_classes
 
 
 def test_instance_from_q():
@@ -32,59 +27,50 @@ def test_instance_validates_shape():
 
 
 def test_divisor_class_q40():
-    inst = Instance.from_q(40)
-    assert divisor_class(inst, 5) == {x for x in range(40) if math.gcd(x, 5) == 1}
-    assert divisor_class(inst, 1) == {0, 5, 10, 15, 20, 25, 30, 35}
-    with pytest.raises(ValueError):
-        divisor_class(inst, 3)
+    classes = {d: v_d for d, v_d, _ in divisor_classes(40)}
+    assert classes[5] == {x for x in range(40) if math.gcd(x, 5) == 1}
+    assert classes[1] == {0, 5, 10, 15, 20, 25, 30, 35}
+    assert sorted(classes) == [1, 5]
 
 
 def test_decompose_partitions_everything():
     for q in (10, 40, 190, 380, 152):
-        inst = Instance.from_q(q)
-        classes = decompose(inst)
+        k = Instance.from_q(q).k
         union = set()
         total = 0
-        for cls in classes:
-            assert not (cls.v_d & union)
-            union |= cls.v_d
-            total += len(cls.v_d)
-            expected = (1 << inst.k) * (euler_phi(cls.d) if cls.d > 1 else 1)
-            assert len(cls.v_d) == expected, (q, cls.d)
-            assert set().union(*cls.u) == cls.v_d
+        for d, v_d, layers in divisor_classes(q):
+            assert not (v_d & union)
+            union |= v_d
+            total += len(v_d)
+            expected = (1 << k) * (euler_phi(d) if d > 1 else 1)
+            assert len(v_d) == expected, (q, d)
+            assert set().union(*layers) == v_d
         assert union == set(range(q))
         assert total == q
 
 
 def test_valuation_partition_k3():
-    inst = Instance.from_q(40)
-    odd, twice, four_times, rest = n_partition_k3(inst)
+    odd, twice, four_times, rest = valuation_classes(40, 3)
     assert odd == set(range(1, 40, 2))
     assert twice == {x for x in range(1, 40) if x % 4 == 2}
     assert four_times == {x for x in range(1, 40) if x % 8 == 4}
     assert rest == {8, 16, 24, 32}
-    with pytest.raises(ValueError):
-        n_partition_k3(Instance.from_q(20))
 
 
 def test_valuation_partition_k2():
-    inst = Instance.from_q(20)
-    odd, twice, rest = n_partition_k2(inst)
+    odd, twice, rest = valuation_classes(20, 2)
     assert odd == set(range(1, 20, 2))
     assert twice == {2, 6, 10, 14, 18}
     assert rest == {4, 8, 12, 16}
 
 
 def test_theta2_layer_bijections():
-    # Doubling maps the odd layer of each nontrivial class onto the
-    # twice-odd layer, and the twice-odd layer onto itself, bijectively.
+    # The doubling map theta2(x) = 2x mod q takes the odd layer of each
+    # nontrivial class onto the twice-odd layer, and the twice-odd layer
+    # onto itself, bijectively.
     for q in (10, 22, 38, 110):
-        inst = Instance.from_q(q)
-        for cls in decompose(inst):
-            if cls.d == 1:
+        for d, _, (u0, u1) in divisor_classes(q):
+            if d == 1:
                 continue
-            u0, u1 = cls.u
-            assert {theta2(x, q) for x in u0} == set(u1)
-            assert {theta2(x, q) for x in u1} == set(u1)
-    with pytest.raises(ValueError):
-        theta2(1, 9)
+            assert {2 * x % q for x in u0} == set(u1)
+            assert {2 * x % q for x in u1} == set(u1)

@@ -40,6 +40,18 @@ def test_conflict_graph_shape():
             assert x in graph.neighbors[y]
 
 
+def test_search_refuses_magnitude_bounds_below_one():
+    # The verifier refuses lam < 1, so the search refuses it with the
+    # same message rather than report a size.
+    for lam in (0, -3):
+        with pytest.raises(ValueError, match="lam >= 1"):
+            conflict_graph(10, lam)
+        with pytest.raises(ValueError, match="lam >= 1"):
+            exact_max(10, lam)
+        with pytest.raises(ValueError, match="lam >= 1"):
+            is_b1_set([1], 10, lam)
+
+
 @pytest.mark.parametrize("q,size", [(2, 0), (5, 1), (20, 4), (40, 6), (44, 10)])
 def test_exact_max_known_values(q, size):
     result = exact_max(q)
