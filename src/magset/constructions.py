@@ -468,6 +468,16 @@ class ConstructionReport:
         }
 
 
+def _powers(g: int, count: int, mod: int) -> list[int]:
+    """``[pow(g, e, mod) for e in range(count)]`` by a running product."""
+    out = []
+    x = 1 % mod
+    for _ in range(count):
+        out.append(x)
+        x = x * g % mod
+    return out
+
+
 def _verify_or_raise(elements, q: int, what: str) -> bool:
     verdict = is_b1_set(sorted(elements), q)
     if not verdict:
@@ -527,20 +537,19 @@ def build_divisor_piece(d: int, q: int) -> Piece:
             f"got d={d}, q={q}")
     ctx = divisor_context(d)
     qd = 2 * d
-    piece_set: set[int] = set()
+    powers = _powers(3, ctx.n, qd)  # 3 has order n mod 2d
     if ctx.two_in_three:
         label, exps = _orbit_exponents(ctx.n, ctx.s, ctx.m, ctx.k_prime,
                                        ctx.r_prime)
-        powers = [pow(3, e, qd) for e in range(ctx.n)]
-        for a in ctx.reps:
-            piece_set.update(a * powers[e % ctx.n] % qd for e in exps)
-        expected = len(ctx.reps) * len(exps)
+        factors = [powers[e % ctx.n] for e in exps]
     else:
         label, cells = _grid_cells(ctx.n, ctx.t, ctx.s)
-        for a in ctx.reps:
-            piece_set.update(a * pow(ctx.b, j, qd) * pow(3, e, qd) % qd
-                             for j, e in cells)
-        expected = len(ctx.reps) * len(cells)
+        b_powers = _powers(ctx.b, ctx.t, qd)
+        factors = [b_powers[j] * powers[e % ctx.n] % qd for j, e in cells]
+    piece_set: set[int] = set()
+    for a in ctx.reps:
+        piece_set.update(a * f % qd for f in factors)
+    expected = len(ctx.reps) * len(factors)
     if len(piece_set) != expected:
         raise ConstructionError(
             f"pattern for d={d} produced {len(piece_set)} elements, "
@@ -621,13 +630,15 @@ def _orbit_layer(q: int, modulus: int, rd: int, n: int, twist: int,
     those for i < n/2 and the odd powers 3**(2i+1) * (alpha + twist) for
     odd_from <= i < odd_from + n/2.
     """
-    evens, odds = ((n, range(0)) if n % 2 == 1
-                   else (n // 2, range(odd_from, odd_from + n // 2)))
+    evens, odds = (n, 0) if n % 2 == 1 else (n // 2, n // 2)
+    powers = _powers(3, 2 * max(evens, odd_from + odds), q)
+    even_powers = powers[0:2 * evens:2]
+    odd_powers = powers[2 * odd_from + 1:2 * (odd_from + odds):2]
     layer: set[int] = set()
     for a in coset_reps((3,), modulus):
         alpha = a * rd % q
-        layer.update(pow(3, 2 * i, q) * alpha % q for i in range(evens))
-        layer.update(pow(3, 2 * i + 1, q) * (alpha + twist) % q for i in odds)
+        layer.update(p * alpha % q for p in even_powers)
+        layer.update(p * (alpha + twist) % q for p in odd_powers)
     return frozenset(layer)
 
 

@@ -24,9 +24,10 @@ search is a deterministic branch-and-bound maximum-independent-set solver:
   of each component of both branches; the optional second rebuilds the
   witness inside each component of the winning branch as that
   component's lexicographically smallest optimum (the union of these is
-  the smallest optimum overall), fixing vertices ascending, each
-  confirmed by the same expansion in decision mode, with the best preset
-  to one below the size needed.
+  the smallest optimum overall), fixing vertices ascending; a vertex of
+  the last optimum found (at first the proof's) is fixed at once, any
+  other is confirmed by the same expansion in decision mode, with the
+  best preset to one below the size needed.
 
 There is one entry point, over all of Z_q: the part of the lex-min
 witness inside a union of components is that union's lex-min optimum.
@@ -83,13 +84,21 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
+def _check_params(q: int, lam: int) -> None:
+    if q < 1 or lam < 1:
+        raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
+
+
 def syndrome_set(x: int, q: int, lam: int = 4) -> frozenset[int]:
-    """The products {e*x mod q : 1 <= e <= lam}."""
+    """The products {e*x mod q : 1 <= e <= lam}; raises ValueError unless
+    q >= 1 and lam >= 1."""
+    _check_params(q, lam)
     return frozenset(e * x % q for e in range(1, lam + 1))
 
 
 def is_admissible(x: int, q: int, lam: int = 4) -> bool:
-    """Whether {x} alone is valid: lam distinct nonzero products."""
+    """Whether {x} alone is valid: lam distinct nonzero products (raises
+    ValueError unless q >= 1 and lam >= 1)."""
     s = syndrome_set(x, q, lam)
     return len(s) == lam and 0 not in s
 
@@ -111,8 +120,7 @@ def conflict_graph(q: int, lam: int = 4) -> ConflictGraph:
     e, e' in [1, lam]; grouping all vertices by each product value makes
     every product-sharing group a clique.
     """
-    if q < 1 or lam < 1:
-        raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
+    _check_params(q, lam)
     verts = [x for x in range(1, q) if is_admissible(x, q, lam)]
     buckets: dict[int, list[int]] = {}
     for x in verts:
@@ -333,25 +341,31 @@ def _solve(core: _Core, cand: int) -> list[tuple[int, int, int]]:
     return parts
 
 
-def _lexmin_witness(core: _Core, cand: int, target: int) -> tuple[int, bool]:
+def _lexmin_witness(core: _Core, cand: int, target: int,
+                    known: int) -> tuple[int, bool]:
     """Smallest optimum of one component in sorted-tuple order: fix its
     vertices ascending, each confirmed by a feasibility search over the
     larger indices of the component, run on ``core`` so that it spends
-    from the same node budget.  Returns (mask, whether it finished)."""
+    from the same node budget.  ``known`` is an optimum of the component
+    (the proof's); it stays a completion of the fixed vertices inside
+    cand, so a vertex in it is fixed without a search.  Returns (mask,
+    whether it finished)."""
     chosen_mask = 0
     chosen = 0
     while chosen < target:
         low = cand & -cand
         sub = cand & ~(core.neigh[low.bit_length() - 1] | low)
-        found = core.exists(sub, target - chosen - 1)
-        if not core.exact:
-            return chosen_mask, False
-        if found:
-            chosen_mask |= low
-            chosen += 1
-            cand = sub
-        else:
-            cand ^= low
+        if not known & low:
+            found = core.exists(sub, target - chosen - 1)
+            if not core.exact:
+                return chosen_mask, False
+            if not found:
+                cand ^= low
+                continue
+            known = core.best_mask | low
+        chosen_mask |= low
+        chosen += 1
+        cand = sub
     return chosen_mask, True
 
 
@@ -407,8 +421,8 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
     lex_min = exact and lex_witness
     if lex_min:
         lex_mask = 0
-        for comp, size, _ in parts:
-            mask, lex_min = _lexmin_witness(core, comp, size)
+        for comp, size, opt in parts:
+            mask, lex_min = _lexmin_witness(core, comp, size, opt)
             if not lex_min:
                 break
             lex_mask |= mask

@@ -1,6 +1,8 @@
 """Linear codes from valid sets: encode, syndrome decode, channel model."""
 
 import itertools
+import math
+import random
 
 import pytest
 
@@ -111,6 +113,150 @@ def test_code_size_is_q_to_m_minus_1():
         assert count == q ** (m - 1)
         # Packing bound for single limited-magnitude errors.
         assert count * (m * code.lam + 1) <= q**m
+
+
+class IntLike:
+    """A numpy-style scalar: an integer value behind ``__int__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __int__(self):
+        return self.value
+
+
+def _residues(word, q):
+    return [int(v) % q for v in word]
+
+
+def _reference_encode(code, message):
+    """Systematic encode with the per-element formula throughout."""
+    q, row = code.q, code.elements
+    p = pivot_index(code)
+    word = _residues(message, q)
+    word.insert(p, 0)
+    partial = sum(v * b for v, b in zip(word, row)) % q
+    word[p] = -partial * pow(row[p], -1, q) % q
+    return tuple(word)
+
+
+def _reference_decode(code, received):
+    q, row = code.q, code.elements
+    y = _residues(received, q)
+    syndrome = sum(v * b for v, b in zip(y, row)) % q
+    if syndrome == 0:
+        return tuple(y), None
+    for j, b in enumerate(row):
+        for e in range(1, code.lam + 1):
+            if e * b % q == syndrome:
+                y[j] = (y[j] - e) % q
+                return tuple(y), (j, e)
+    return syndrome  # detected
+
+
+def _edge_entry(rng, q):
+    """A coordinate of one of the kinds ``int(v) % q`` accepts."""
+    v = rng.randrange(-3 * q, 3 * q)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return v
+    if kind == 1:
+        return rng.randrange(q)
+    if kind == 2:
+        return rng.random() < 0.5
+    if kind == 3:
+        return v + rng.choice((0.0, 0.25, 0.75, -0.5))
+    if kind == 4:
+        return str(v)
+    if kind == 5:
+        return IntLike(v)
+    return rng.choice((-1, q, q - 1, 2 * q + 1, -q))
+
+
+def _edge_words(rng, q, n):
+    """Words of length n as tuples, lists and ranges."""
+    words = [tuple(_edge_entry(rng, q) for _ in range(n)),
+             [_edge_entry(rng, q) for _ in range(n)],
+             [rng.randrange(q) for _ in range(n)],  # plain ints, in range
+             tuple(rng.randrange(-q, 2 * q) for _ in range(n))]
+    start = rng.randrange(-2 * q, 2 * q)
+    words.append(range(start, start + n))
+    words.append(range(start, start - 2 * n, -2))
+    words.append([True] * n)
+    return words
+
+
+@pytest.mark.parametrize("q", [20, 44, 190])
+def test_edge_inputs_match_per_element_formula(q):
+    elements = GOLDEN_SETS[q]
+    code = make_code(elements, q)
+    m = code.length
+    rng = random.Random(q)
+    for _ in range(40):
+        for message in _edge_words(rng, q, m - 1):
+            sent = encode(code, message)
+            assert sent == _reference_encode(code, message)
+            assert all(type(v) is int for v in sent)
+            assert is_codeword(code, sent)
+        for word in _edge_words(rng, q, m):
+            assert is_codeword(code, word) == (sum(
+                v * b for v, b in zip(_residues(word, q), code.elements))
+                % q == 0)
+            want = _reference_decode(code, word)
+            if isinstance(want, int):
+                with pytest.raises(UnknownSyndromeError) as info:
+                    decode(code, word)
+                assert info.value.syndrome == want
+            else:
+                assert decode(code, word) == want
+
+
+def test_edge_inputs_on_the_readme_code(code20):
+    # the per-element formula gives 2,2,0,0 and (2,5,0,0) -> fix (1, 3)
+    assert encode(code20, (22, -40, 20)) == (2, 2, 0, 0)
+    assert encode(code20, ("2", 0.9, False)) == (2, 2, 0, 0)
+    assert encode(code20, [IntLike(-18), True, -1]) == encode(code20,
+                                                            (2, 1, 19))
+    assert encode(code20, range(3)) == encode(code20, (0, 1, 2))
+    assert decode(code20, (-18, 25, 40, "0")) == ((2, 2, 0, 0), (1, 3))
+    assert decode(code20, range(2, 6)) == _reference_decode(code20,
+                                                           (2, 3, 4, 5))
+    assert is_codeword(code20, (22.5, -18, True * 20, -20))
+    with pytest.raises(ValueError):
+        encode(code20, ("two", 0, 0))
+    with pytest.raises(TypeError):
+        decode(code20, (None, 0, 0, 0))
+
+
+def test_numpy_entries_match_per_element_formula():
+    np = pytest.importorskip("numpy")
+    q = 190
+    code = make_code(GOLDEN_SETS[q], q)
+    rng = np.random.default_rng(7)
+    for dtype in (np.int64, np.int32, np.uint16, np.float64):
+        message = rng.integers(-q, 3 * q, code.length - 1).astype(dtype)
+        word = rng.integers(0, 3 * q, code.length).astype(dtype)
+        assert encode(code, message) == _reference_encode(code, message)
+        assert encode(code, list(message)) == _reference_encode(code, message)
+        want = _reference_decode(code, word)
+        if isinstance(want, int):
+            with pytest.raises(UnknownSyndromeError):
+                decode(code, word)
+        else:
+            assert decode(code, word) == want
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_SETS))
+def test_simulate_corrects_every_trial(q):
+    # one in-range error per word is always corrected, whatever the stream
+    code = make_code(GOLDEN_SETS[q], q)
+    for seed in (0, 1, 7, 12345):
+        for rate in (0.0, 0.5, 1.0):
+            stats = simulate_channel(code, 150, error_rate=rate, seed=seed)
+            assert (stats.trials, stats.corrected, stats.detected,
+                    stats.miscorrected, stats.seed) == (150, 150, 0, 0, seed)
+            assert simulate_channel(code, 150, error_rate=rate,
+                                    seed=seed) == stats
 
 
 def test_simulate_deterministic_and_fully_correcting(code20):

@@ -52,6 +52,16 @@ def test_search_refuses_magnitude_bounds_below_one():
             is_b1_set([1], 10, lam)
 
 
+def test_syndrome_helpers_refuse_bad_parameters():
+    # is_admissible(1, 10, 0) used to answer True for an empty product set
+    for q, lam in ((10, 0), (10, -3), (0, 4), (-5, 4)):
+        with pytest.raises(ValueError, match=r"need q >= 1 and lam >= 1"):
+            syndrome_set(1, q, lam)
+        with pytest.raises(ValueError, match=r"need q >= 1 and lam >= 1"):
+            is_admissible(1, q, lam)
+    assert syndrome_set(3, 1, 1) == {0} and not is_admissible(3, 1, 1)
+
+
 @pytest.mark.parametrize("q,size", [(2, 0), (5, 1), (20, 4), (40, 6), (44, 10)])
 def test_exact_max_known_values(q, size):
     result = exact_max(q)
@@ -122,6 +132,25 @@ def test_witness_phase_fits_in_the_proof_budget(tmp_path):
         160, 162, 165, 169, 170, 171, 172, 179, 189)
     assert is_b1_set(result.witness, 191).valid
     assert SearchCache(str(path)).get(191, 4).witness == result.witness
+
+
+def test_witness_phase_starts_from_the_proof_optimum(tmp_path):
+    # q = 149: the proof takes 1,162 nodes.  Vertices of the proof's
+    # optimum are fixed without a decision search, so the lex-min phase
+    # fits in 100 more nodes (it took 749 when every vertex was probed).
+    full = exact_max(149, budget=Budget(10**8, math.inf))
+    assert full.exact and full.max_size == 37
+    assert full.nodes_expanded == 1162
+    path = tmp_path / "cache.jsonl"
+    budget = Budget(max_nodes=full.nodes_expanded + 100, max_seconds=math.inf)
+    result = exact_max(149, budget=budget, cache=SearchCache(str(path)))
+    assert result == dataclasses.replace(full, elapsed=result.elapsed)
+    assert result.witness == (
+        1, 5, 6, 16, 17, 19, 25, 28, 29, 30, 31, 33, 36, 37, 39, 46, 49, 63,
+        67, 73, 80, 81, 85, 88, 95, 96, 102, 104, 107, 114, 123, 125, 127,
+        129, 140, 142, 145)
+    assert is_b1_set(result.witness, 149).valid
+    assert SearchCache(str(path)).get(149, 4).witness == result.witness
 
 
 def _brute_alpha(neigh, cand):
