@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -35,9 +34,6 @@ from .constructions import (build_twice_odd, construct, divisor_context,
 from .residues import Instance
 from .search import Budget, SearchCache, default_cache_path, exact_max
 from .verifier import format_witness, is_b1_set
-
-# Node-only budgets keep cut-off results reproducible run to run.
-_CLI_DEFAULT_BUDGET = Budget(max_nodes=10**8, max_seconds=math.inf)
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -72,7 +68,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         args.parser.error(
             f"--q {args.q}: odd part {instance.r} is divisible by 3; "
             "supported moduli are 2^k * r with gcd(r, 6) = 1")
-    report = construct(args.q, budget=_CLI_DEFAULT_BUDGET)
+    report = construct(args.q)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
         return 0
@@ -112,8 +108,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    budget = (_CLI_DEFAULT_BUDGET if args.budget is None
-              else Budget(max_nodes=args.budget, max_seconds=math.inf))
+    budget = None if args.budget is None else Budget(max_nodes=args.budget)
     cache = SearchCache(args.cache if args.cache is not None
                         else default_cache_path())
     result = exact_max(args.q, args.lam, budget=budget, cache=cache)
@@ -159,7 +154,7 @@ def _table_rows(max_p: int, oracle: bool) -> tuple[list[list[str]], list[list[st
         witness = " ".join(str(x) for x in sorted(piece.elements))
         extra: list[str] = []
         if oracle:
-            exact = exact_max(2 * p, 4, budget=_CLI_DEFAULT_BUDGET)
+            exact = exact_max(2 * p, 4)
             gap = "TIGHT" if exact.max_size == piece.size else "GAP"
             extra = [str(exact.max_size), gap]
         if ctx.two_in_three:

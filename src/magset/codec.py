@@ -13,7 +13,8 @@ The parity row is kept in ascending element order; word positions refer
 to that order.  Encoding is systematic through a pivot coordinate: the
 first element of B (scanning ascending) that is a unit mod q; the
 message fills the remaining m-1 positions in order and the pivot is
-solved to cancel the parity sum.
+solved to cancel the parity sum.  The pivot and its inverse mod q are
+found once per code.
 
 Words may hold any entries ``int()`` accepts; each coordinate is read
 as ``int(v) % q``.  The per-word work runs in C builtins: ``map`` and
@@ -29,6 +30,7 @@ import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .verifier import SyndromeTable, build_syndrome_table
@@ -76,6 +78,16 @@ class LinearCode:
     def length(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def pivot(self) -> tuple[int, int]:
+        """(index, inverse mod q) of the first parity-row element that is
+        a unit mod q; raises NoUnitPivotError when there is none."""
+        for i, b in enumerate(self.elements):
+            if math.gcd(b, self.q) == 1:
+                return i, pow(b, -1, self.q)
+        raise NoUnitPivotError(
+            f"no element of {self.elements} is a unit mod {self.q}")
+
 
 def make_code(elements: Iterable[int], q: int, lam: int = 4) -> LinearCode:
     """Build the code for a valid set (raises ValueError if not valid)."""
@@ -112,11 +124,7 @@ def is_codeword(code: LinearCode, word: Sequence[int]) -> bool:
 
 def pivot_index(code: LinearCode) -> int:
     """Index of the first parity-row element that is a unit mod q."""
-    for i, b in enumerate(code.elements):
-        if math.gcd(b, code.q) == 1:
-            return i
-    raise NoUnitPivotError(
-        f"no element of {code.elements} is a unit mod {code.q}")
+    return code.pivot[0]
 
 
 def encode(code: LinearCode, message: Sequence[int]) -> tuple[int, ...]:
@@ -125,15 +133,13 @@ def encode(code: LinearCode, message: Sequence[int]) -> tuple[int, ...]:
     The pivot coordinate is set to -(sum of the other terms) / b_pivot
     mod q, making the result a codeword.
     """
-    p = pivot_index(code)
+    p, inv = code.pivot
     if len(message) != code.length - 1:
         raise ValueError(
             f"message must have length {code.length - 1}, got {len(message)}")
     word = _residues(message, code.q)
     word.insert(p, 0)
-    partial = _parity(code, word)
-    inv = pow(code.elements[p], -1, code.q)
-    word[p] = -partial * inv % code.q
+    word[p] = -_parity(code, word) * inv % code.q
     return tuple(word)
 
 

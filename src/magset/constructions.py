@@ -10,9 +10,11 @@ module builds such sets of maximum known size for ``q = 2**k * r`` with
   ``d`` of ``r``.  Each piece lives inside the class ``V_d`` of residues
   whose odd part has gcd-cofactor ``d`` and is produced by an explicit
   pattern over the orbit structure of 3 (and, where needed, of 2) in the
-  units mod ``2d``.  Some patterns are provably maximum within their
-  class; the rest are lower bounds, which ``exact_max(2d)`` restricted
-  to ``V_d`` certifies or improves while the class is small.
+  units mod ``2d``.  A piece that meets the counting bound
+  ``phi(d)/2`` of its class is maximum there (see
+  :func:`build_divisor_piece`); the rest are lower bounds, which
+  ``exact_max(2d)`` restricted to ``V_d`` certifies or improves while
+  the class is small.
 * ``q = 4r``   -- an exactly maximum set of size ``r - 1`` (this meets
   the counting upper bound ``floor((q-1)/4)``), assembled from one piece
   per divisor ``d > 1`` of ``r``.
@@ -34,8 +36,10 @@ class.  Against an independent exact search, construct matches the true
 maximum for all even ``q <= 106``, and the pattern sums alone
 (``build_twice_odd(r, refine=False)``) match it for every ``q = 2r``,
 ``r <= 53``.  Beyond that some patterns fall short (first at
-d = 59, 71, 73, 79); only the cases in :data:`OPTIMAL_CASES` and
-search-certified pieces are claimed maximum.
+d = 59, 71, 73, 79); only pieces that meet the counting bound (or have
+m = 2) and search-certified pieces are claimed maximum.  A report is
+``tight`` exactly when all its pieces are certified and its base, if
+any, is tight.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ __all__ = [
     "DivisorContext",
     "Piece",
     "ConstructionReport",
-    "OPTIMAL_CASES",
     "REFINE_VERTEX_CAP",
     "hamming_upper_bound",
     "divisor_context",
@@ -391,15 +394,6 @@ def _grid_case(n: int, t: int, s: int) -> tuple[str, tuple, tuple, tuple]:
     return "n-odd/t-even/s-even>0", odds, evens, (1, 0, s // 2, h + 1)
 
 
-#: Case labels whose pattern size is the proven in-class maximum.  All
-#: other cases are lower bounds (usually tight, but e.g. d=59 is not).
-OPTIMAL_CASES = frozenset({
-    "n-even/s-odd",
-    "n-even/s-even/m=2",
-    "n-even/t-even/s-even",
-    "n-even/t-odd/s-odd",
-})
-
 #: Largest class size |V_d| = 2*phi(d) that build_twice_odd's refine
 #: step certifies by exact_max(2d) restricted to V_d.
 REFINE_VERTEX_CAP = 128
@@ -413,7 +407,9 @@ REFINE_VERTEX_CAP = 128
 class Piece:
     """One per-divisor-class part of a constructed set (already scaled
     into the target modulus).  ``certified`` means the piece is known to
-    be of maximum size within its divisor class."""
+    be of maximum size within its divisor class: by the counting bound
+    (see :func:`build_divisor_piece`), by exact search, or by the route's
+    own size argument."""
 
     d: int
     case: str
@@ -494,10 +490,11 @@ def _instance(k: int, r: int) -> Instance:
     return Instance((1 << k) * r, k, r, 4)
 
 
-def _assemble(instance: Instance, pieces: list[Piece], tight: bool,
+def _assemble(instance: Instance, pieces: list[Piece],
               base: Optional[ConstructionReport] = None) -> ConstructionReport:
     """Unite the pieces (and 8 * base), check they are disjoint, verify
-    the union and report it."""
+    the union and report it; the report is tight when every piece is
+    certified and the base, if any, is tight."""
     q = instance.q
     parts = [p.elements for p in pieces]
     if base is not None:
@@ -511,7 +508,8 @@ def _assemble(instance: Instance, pieces: list[Piece], tight: bool,
         pieces=tuple(pieces),
         upper_bound=hamming_upper_bound(q, 4),
         verified=_verify_or_raise(elements, q, f"assembled set for q={q}"),
-        tight=tight,
+        tight=(all(p.certified for p in pieces)
+               and (base is None or base.tight)),
         base=base,
     )
 
@@ -529,6 +527,17 @@ def build_divisor_piece(d: int, q: int) -> Piece:
     class mod 2d to valid sets within V_d mod q and invalid ones to
     invalid ones.  The piece is not verified here: the assembled set it
     goes into is (see :func:`build_twice_odd`).
+
+    The piece is ``certified`` when it meets the counting bound of its
+    class.  Take a member x of V_d mod 2d, the residues prime to d; its
+    syndromes e*x are prime to d too, since e <= 4 is.  The even
+    syndromes prime to d number phi(d).  An odd x uses two of them (2x
+    and 4x), an even x all four, so a valid set with |O| odd and |E|
+    even members has 2|O| + 4|E| <= phi(d), and at most phi(d)/2
+    members.  The one exception is m = 2, whose period-3 pattern stays
+    below the bound: 3**2 == 2 (mod d) forces d | 7 and 3**-2 == 2
+    forces d | 17, so m = 2 occurs only at d = 7 and d = 17, whose class
+    maxima 2 and 5 are pinned by exhaustive search in the tests.
     """
     r = q // 2
     if q != 2 * r or r % d != 0 or r % 2 == 0 or math.gcd(r, 6) != 1:
@@ -559,7 +568,7 @@ def build_divisor_piece(d: int, q: int) -> Piece:
     if len(elements) != len(piece_set):
         raise ConstructionError(f"scaling collision for d={d} into q={q}")
     return Piece(d=d, case=label, elements=elements,
-                 certified=label in OPTIMAL_CASES)
+                 certified=2 * len(elements) == euler_phi(d) or ctx.m == 2)
 
 
 @lru_cache(maxsize=None)
@@ -615,7 +624,7 @@ def build_twice_odd(r: int, *, refine: bool = True,
             elif exact:
                 piece = Piece(d, piece.case, piece.elements, True)
         pieces.append(piece)
-    return _assemble(instance, pieces, all(p.certified for p in pieces))
+    return _assemble(instance, pieces)
 
 
 # --------------------------------------------------------------------------
@@ -677,7 +686,7 @@ def build_four_times_odd(r: int) -> ConstructionReport:
             f"q={q} construction produced {size} elements, "
             f"expected r-1={r - 1}")
     # upper_bound == r - 1: the bound is met
-    return _assemble(instance, pieces, True)
+    return _assemble(instance, pieces)
 
 
 # --------------------------------------------------------------------------
@@ -690,12 +699,16 @@ def build_eightfold(k: int, r: int,
 
     The new layer contributes, for each divisor d of r, elements
     a * (r/d) * 3**e (optionally twisted) chosen by comparing the orders
-    n_lo, n_hi of 3 modulo 2**(k-2) d and 2**(k-1) d; it totals exactly
+    n_lo, n_hi of 3 modulo M = 2**(k-2) d and 2M; it totals exactly
     2**(k-3) * r elements, each of 2-adic valuation at most 2.  Scaling
     the base set by 8 shifts all its syndromes to valuation >= 3, so the
     union stays valid for ANY valid base set.  The layer size being
     exact, the result is maximum precisely when the base is
     (tight = base.tight).
+
+    n_hi is n_lo or 2 n_lo, told apart by one power: M is even, so
+    x == 1 (mod M) gives x**2 == 1 (mod 2M), and n_lo | n_hi | 2 n_lo;
+    n_hi = n_lo exactly when 3**n_lo == 1 (mod 2M).
     """
     if k < 3:
         raise ConstructionError(f"eightfold recursion needs k >= 3, got {k}")
@@ -708,17 +721,12 @@ def build_eightfold(k: int, r: int,
     for d in divisors(r):
         mod_lo = (1 << (k - 2)) * d
         n_lo = mult_order(3, mod_lo)
-        n_hi = mult_order(3, 2 * mod_lo)
         if n_lo % 2 == 1:
             label, twist, odd_from = "layer-odd-order", 0, 0
-        elif n_hi == n_lo:
+        elif pow(3, n_lo, 2 * mod_lo) == 1:  # n_hi == n_lo
             label, twist, odd_from = "layer-matched-orders", (1 << (k - 2)) * r, 0
-        elif n_hi == 2 * n_lo:
+        else:  # n_hi == 2 * n_lo
             label, twist, odd_from = "layer-doubled-order", 0, n_lo // 2
-        else:
-            raise ConstructionError(
-                f"order jump must be 1x or 2x: d={d}, k={k}, "
-                f"n_lo={n_lo}, n_hi={n_hi}")
         pieces.append(Piece(d, label, _orbit_layer(q, mod_lo, r // d, n_lo,
                                                    twist, odd_from), True))
     size = sum(p.size for p in pieces)
@@ -727,7 +735,7 @@ def build_eightfold(k: int, r: int,
         raise ConstructionError(
             f"layer for q={q} has {size} elements, "
             f"expected {expected_layer}")
-    return _assemble(instance, pieces, base.tight, base)
+    return _assemble(instance, pieces, base)
 
 
 # --------------------------------------------------------------------------

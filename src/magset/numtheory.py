@@ -11,11 +11,9 @@ enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "Factorization",
     "factorize",
     "divisors",
     "euler_phi",
@@ -26,31 +24,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """A positive integer with its canonical prime factorization."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
-
-    def __post_init__(self) -> None:
-        prod = 1
-        prev = 1
-        for p, e in self.factors:
-            if p <= prev or e < 1:
-                raise ValueError("factors must have ascending primes, exponents >= 1")
-            prev = p
-            prod *= p**e
-        if prod != self.value:
-            raise ValueError("factor product does not equal value")
-
-
 @lru_cache(maxsize=None)
-def factorize(n: int) -> Factorization:
-    """Canonical prime factorization by trial division (n = 1 -> empty)."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization by trial division: ((prime, exponent), ...)
+    with primes ascending (n = 1 -> empty)."""
     if n < 1:
         raise ValueError(f"factorize requires a positive integer, got {n}")
-    value = n
     factors: list[tuple[int, int]] = []
     for p in _trial_primes(n):
         if p * p > n:
@@ -63,7 +42,7 @@ def factorize(n: int) -> Factorization:
             factors.append((p, e))
     if n > 1:
         factors.append((n, 1))
-    return Factorization(value, tuple(factors))
+    return tuple(factors)
 
 
 def _trial_primes(n: int):
@@ -79,7 +58,7 @@ def _trial_primes(n: int):
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
 
@@ -88,7 +67,7 @@ def divisors(n: int) -> list[int]:
 def euler_phi(n: int) -> int:
     """Euler totient, computed from the factorization."""
     out = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         out *= p ** (e - 1) * (p - 1)
     return out
 
@@ -129,7 +108,7 @@ def mult_order(l: int, d: int) -> int:
     if d == 1:
         return 1
     out = 1
-    for p, e in factorize(d).factors:
+    for p, e in factorize(d):
         out = math.lcm(out, _order_mod_prime_power(l, p, e))
     return out
 

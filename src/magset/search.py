@@ -75,10 +75,13 @@ CACHE_ENV_VAR = "MAGSET_CACHE"
 
 @dataclass(frozen=True)
 class Budget:
-    """Search limits: whichever of node count / wall time trips first."""
+    """Search limits: whichever of node count / wall time trips first.
+
+    The default counts nodes only, so a result does not depend on the
+    machine or its load."""
 
     max_nodes: int = 10**8
-    max_seconds: float = 60.0
+    max_seconds: float = math.inf
 
 
 DEFAULT_BUDGET = Budget()

@@ -49,6 +49,21 @@ def test_encode_example(code20):
         encode(code20, (2, 0))  # wrong message length
 
 
+def test_pivot_is_found_once_per_code(monkeypatch):
+    # {5, 8, 9, 17, 33} is valid at q = 40 and its first unit is 9, at
+    # index 2.  After the first encode, no call needs gcd again.
+    code = make_code({5, 8, 9, 17, 33}, 40)
+    first = encode(code, (1, 2, 3, 4))
+    assert first == (1, 2, 4, 3, 4) and is_codeword(code, first)
+
+    def no_gcd(*args):
+        raise AssertionError("the pivot was searched again")
+
+    monkeypatch.setattr(math, "gcd", no_gcd)
+    assert encode(code, (1, 2, 3, 4)) == first
+    assert pivot_index(code) == 2
+
+
 def test_encode_needs_unit_pivot():
     # {4} is a valid set at q=20 (products 4,8,12,16) with no unit element:
     # the code exists and decodes, but nothing can be encoded.

@@ -1,9 +1,12 @@
 """Pattern constructions: worked examples, per-divisor pieces, reports."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
+from construct_sweep import SWEEP, SWEEP_SHA256
 from golden_data import (
     GOLDEN_SETS,
     GOLDEN_SIZES,
@@ -12,7 +15,6 @@ from golden_data import (
     TABLE_GRID,
 )
 from magset.constructions import (
-    OPTIMAL_CASES,
     ConstructionError,
     _class_optimum,
     _domain_wall_exponents,
@@ -26,7 +28,7 @@ from magset.constructions import (
     divisor_context,
     hamming_upper_bound,
 )
-from magset.numtheory import mult_order_naive
+from magset.numtheory import euler_phi, mult_order_naive, two_adic_valuation
 from magset.residues import Instance
 from magset.search import exact_max
 from magset.verifier import is_b1_set, is_b1_set_reference
@@ -123,7 +125,9 @@ def test_piece_matches_frozen_tables_at_2p():
         piece = build_divisor_piece(p, 2 * p)
         assert piece.elements == witness, p
         assert piece.size == size, p
-        assert piece.certified == exact == (piece.case in OPTIMAL_CASES), p
+        # m = 2 (only p = 7 and 17) is the one certified case below phi/2.
+        assert piece.certified == exact == \
+            (2 * size == euler_phi(p) or p in (7, 17)), p
     for p, *_mid, size, exact, witness in TABLE_GRID:
         piece = build_divisor_piece(p, 2 * p)
         if p == 73:  # fixture row is sub-optimal; pattern does better
@@ -132,13 +136,13 @@ def test_piece_matches_frozen_tables_at_2p():
         else:
             assert piece.elements == witness, p
             assert piece.size == size, p
-            assert piece.certified == exact, p
+            assert piece.certified == exact == (2 * size == euler_phi(p)), p
 
 
 def test_piece_certified_example():
     piece = build_divisor_piece(67, 134)
     assert piece.certified and piece.size == 33
-    assert piece.case in OPTIMAL_CASES
+    assert 2 * piece.size == euler_phi(67)
 
 
 @pytest.mark.parametrize("d", [x for x in range(5, 122) if math.gcd(x, 6) == 1])
@@ -227,6 +231,47 @@ def test_class_optimum_is_the_in_class_maximum():
         witness = _class_optimum(d, None)[0]
         assert part == tuple(x * (inst.r // d) for x in witness)
         assert is_b1_set(part, 190).valid
+
+
+def test_counting_bound_against_exhaustive_class_maxima():
+    # 2|O| + 4|E| <= phi(d) bounds every class by phi(d)/2; a pattern
+    # piece is certified when it meets that bound, or when m = 2.
+    for d, size in CLASS_MAXIMA.items():
+        assert 2 * size <= euler_phi(d), d
+        piece = build_divisor_piece(d, 2 * d)
+        if piece.certified:
+            assert piece.size == size, d
+    m_two = []
+    for d in range(5, 2000):
+        if math.gcd(d, 6) != 1:
+            continue
+        piece = build_divisor_piece(d, 2 * d)
+        assert 2 * piece.size <= euler_phi(d), d
+        if divisor_context(d).m == 2:
+            m_two.append(d)
+        assert piece.certified == (2 * piece.size == euler_phi(d)
+                                   or d in (7, 17)), d
+    assert m_two == [7, 17]
+
+
+def test_construct_sweep_matches_frozen_outputs():
+    # Every in-scope even q <= 2000 whose 2-adic valuation k is not a
+    # multiple of 3: size, tight, the uncertified divisors of the report
+    # and its bases, and one digest over the JSON reports.
+    in_scope = [q for q in range(2, 2001, 2)
+                if two_adic_valuation(q) % 3
+                and math.gcd(q >> two_adic_valuation(q), 6) == 1]
+    assert sorted(SWEEP) == in_scope and len(in_scope) == 572
+    digest = hashlib.sha256()
+    for q in in_scope:
+        report = construct(q)
+        digest.update(json.dumps(report.to_json_dict()).encode() + b"\n")
+        uncertified, part = [], report
+        while part is not None:
+            uncertified += [p.d for p in part.pieces if not p.certified]
+            part = part.base
+        assert (report.size, report.tight, tuple(uncertified)) == SWEEP[q], q
+    assert digest.hexdigest() == SWEEP_SHA256
 
 
 def test_domain_wall_branch_pieces():

@@ -19,10 +19,22 @@ from magset.numtheory import (
 # -- factorization / basics -------------------------------------------------
 
 def test_factorize_small():
-    assert factorize(1).factors == ()
-    assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(97).factors == ((97, 1),)
-    assert factorize(2**5 * 95).value == 3040
+    assert factorize(1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(97) == ((97, 1),)
+    assert factorize(2**5 * 95) == ((2, 5), (5, 1), (19, 1))
+
+
+def test_factorize_is_canonical():
+    # Ascending primes, positive exponents, product n.
+    for n in range(1, 3000):
+        factors = factorize(n)
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes)), n
+        assert all(p >= 2 and e >= 1 and
+                   all(p % f for f in range(2, math.isqrt(p) + 1))
+                   for p, e in factors), n
+        assert math.prod(p**e for p, e in factors) == n, n
 
 
 def test_factorize_rejects_nonpositive():

@@ -1,6 +1,7 @@
 """Exhaustive-search oracle: exact values, witnesses, budgets, cache."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -234,6 +235,17 @@ def test_lexmin_witness_of_disjoint_unions_matches_brute_force():
         assert result.exact and lex_min
         assert result.max_size == len(expected)
         assert result.witness == tuple(v + 1 for v in expected), (a, b)
+
+
+def test_default_budget_counts_nodes_only(monkeypatch):
+    # A 60 s default made exact_max(136), 4,058,140 proof nodes, exact on
+    # an idle machine and cut off under load.  With a clock that runs
+    # 100 s per reading, the default budget still finishes the search.
+    assert Budget() == Budget(10**8, math.inf)
+    ticks = itertools.count(0.0, 100.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
+    result = exact_max(44)
+    assert result.exact and result.max_size == 10
 
 
 def test_budget_is_hashable_value_object():
