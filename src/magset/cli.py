@@ -62,6 +62,18 @@ def _positive(text: str) -> int:
 # construct
 # --------------------------------------------------------------------------
 
+def _report_json(report) -> str:
+    """``json.dumps(report.to_json_dict(), indent=2)``, with the element
+    lists joined by ``str.join``: json's indenting encoder is pure Python."""
+    data, texts = report.to_json_dict(), []
+    for holder, pad in [(data, "\n  "), *((p, "\n      ") for p in data["pieces"])]:
+        items, holder["elements"] = holder["elements"], "\0"
+        texts.append(f"[{pad}  " + f",{pad}  ".join(map(str, items)) + f"{pad}]"
+                     if items else "[]")
+    parts = json.dumps(data, indent=2).split('"\\u0000"')
+    return "".join(part + text for part, text in zip(parts, texts + [""]))
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     instance = Instance.from_q(args.q)
     if not instance.coprime_to_six:
@@ -70,7 +82,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "supported moduli are 2^k * r with gcd(r, 6) = 1")
     report = construct(args.q)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(_report_json(report))
         return 0
     inst = report.instance
     print(f"q = {inst.q} = 2^{inst.k} * {inst.r}   lambda = {inst.lam}")

@@ -91,9 +91,9 @@ class LinearCode:
 
 def make_code(elements: Iterable[int], q: int, lam: int = 4) -> LinearCode:
     """Build the code for a valid set (raises ValueError if not valid)."""
-    row = tuple(sorted(elements))
+    row = tuple(elements)
     table = build_syndrome_table(row, q, lam)  # validates the set
-    return LinearCode(q=q, lam=lam, elements=row, table=table)
+    return LinearCode(q=q, lam=lam, elements=tuple(sorted(row)), table=table)
 
 
 def _check_word(code: LinearCode, word: Sequence[int], name: str) -> list[int]:

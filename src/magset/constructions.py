@@ -107,7 +107,8 @@ class DivisorContext:
       ``[0, n-1]`` with ``2**t * 3**s == 1 (mod d)``, and ``reps`` is a
       transversal of the cosets of <3, b> in the units mod 2d.
 
-    Unused parameters of the other family are None.
+    ``powers`` lists 3**e mod 2d for 0 <= e < n.  Unused parameters of
+    the other family are None.
     """
 
     d: int
@@ -120,32 +121,35 @@ class DivisorContext:
     r_prime: Optional[int] = None
     t: Optional[int] = None
     b: Optional[int] = None
+    powers: tuple[int, ...] = field(default=(), repr=False)
 
 
 def divisor_context(d: int) -> DivisorContext:
     """Compute the orbit parameters that select a pattern for divisor d.
 
-    The orbit of 3 mod d is walked once into a map from residue to
-    exponent; n is its size, family A's s is the exponent of 2, family
-    B's t is the first power of 2 that lands in the orbit and its s the
-    exponent of that power's inverse.
+    The orbit of 3 is walked once, mod 2d, into ``powers``; n is its
+    size (also the order of 3 mod d, as 3 is odd) and the map from
+    residue mod d to exponent is built from it.  Family A's s is the
+    exponent of 2, family B's t is the first power of 2 that lands in
+    the orbit and its s the exponent of that power's inverse.
     """
     if d < 5 or math.gcd(d, 6) != 1:
         raise ConstructionError(
             f"divisor contexts exist for d >= 5 with gcd(d, 6) = 1, got d={d}")
-    log: dict[int, int] = {}  # 3**e mod d -> e, for 0 <= e < n
-    x = 1
-    while x not in log:
-        log[x] = len(log)
-        x = x * 3 % d
-    n = len(log)  # equals the order of 3 mod 2d: 3 is odd
+    powers, x = [1], 3
+    while x != 1:
+        powers.append(x)
+        x = x * 3 % (2 * d)
+    n = len(powers)
+    log = dict(zip([p % d for p in powers], range(n)))  # 3**e mod d -> e
     s_two = log.get(2)
     if s_two is not None:
         m = min(s_two, n - s_two)
         k_prime = n // (2 * m)
         ctx = DivisorContext(d=d, n=n, two_in_three=True, s=s_two,
                              reps=coset_reps((3,), 2 * d), m=m,
-                             k_prime=k_prime, r_prime=n - 2 * k_prime * m)
+                             k_prime=k_prime, r_prime=n - 2 * k_prime * m,
+                             powers=tuple(powers))
     else:
         t, two_t = 1, 2
         while two_t not in log:
@@ -153,7 +157,8 @@ def divisor_context(d: int) -> DivisorContext:
         b = d + 2  # odd representative of 2 modulo d
         ctx = DivisorContext(d=d, n=n, two_in_three=False,
                              s=log[pow(two_t, -1, d)],
-                             reps=coset_reps((3, b), 2 * d), t=t, b=b)
+                             reps=coset_reps((3, b), 2 * d), t=t, b=b,
+                             powers=tuple(powers))
     if len(ctx.reps) * (ctx.t or 1) * n != euler_phi(d):
         raise ConstructionError(f"coset count mismatch for d={d}")
     return ctx
@@ -475,7 +480,7 @@ def _powers(g: int, count: int, mod: int) -> list[int]:
 
 
 def _verify_or_raise(elements, q: int, what: str) -> bool:
-    verdict = is_b1_set(sorted(elements), q)
+    verdict = is_b1_set(elements, q)
     if not verdict:
         raise ConstructionError(
             f"{what} failed verification at q={q}: "
@@ -498,7 +503,7 @@ def _assemble(instance: Instance, pieces: list[Piece],
     q = instance.q
     parts = [p.elements for p in pieces]
     if base is not None:
-        parts.append(frozenset(8 * x % q for x in base.elements))
+        parts.append(frozenset([8 * x for x in base.elements]))  # 8x < q
     elements = frozenset().union(*parts)
     if len(elements) != sum(len(part) for part in parts):
         raise ConstructionError(f"pieces overlap at q={q}")
@@ -545,28 +550,24 @@ def build_divisor_piece(d: int, q: int) -> Piece:
             f"build_divisor_piece needs q = 2r, d | r, gcd(r,6)=1; "
             f"got d={d}, q={q}")
     ctx = divisor_context(d)
-    qd = 2 * d
-    powers = _powers(3, ctx.n, qd)  # 3 has order n mod 2d
+    qd, n, powers = 2 * d, ctx.n, ctx.powers
     if ctx.two_in_three:
-        label, exps = _orbit_exponents(ctx.n, ctx.s, ctx.m, ctx.k_prime,
+        label, exps = _orbit_exponents(n, ctx.s, ctx.m, ctx.k_prime,
                                        ctx.r_prime)
-        factors = [powers[e % ctx.n] for e in exps]
+        factors = [powers[e % n] for e in exps]
     else:
-        label, cells = _grid_cells(ctx.n, ctx.t, ctx.s)
+        label, cells = _grid_cells(n, ctx.t, ctx.s)
         b_powers = _powers(ctx.b, ctx.t, qd)
-        factors = [b_powers[j] * powers[e % ctx.n] % qd for j, e in cells]
-    piece_set: set[int] = set()
-    for a in ctx.reps:
-        piece_set.update(a * f % qd for f in factors)
-    expected = len(ctx.reps) * len(factors)
-    if len(piece_set) != expected:
-        raise ConstructionError(
-            f"pattern for d={d} produced {len(piece_set)} elements, "
-            f"expected {expected} (case {label})")
+        factors = [b_powers[j] * powers[e % n] % qd for j, e in cells]
+    # x * r/d < q for x < 2d: scaling neither wraps nor collides.
     scale = r // d
-    elements = frozenset(x * scale % q for x in piece_set)
-    if len(elements) != len(piece_set):
-        raise ConstructionError(f"scaling collision for d={d} into q={q}")
+    elements = frozenset([a * f % qd * scale for a in ctx.reps
+                          for f in factors])
+    expected = len(ctx.reps) * len(factors)
+    if len(elements) != expected:
+        raise ConstructionError(
+            f"pattern for d={d} produced {len(elements)} elements, "
+            f"expected {expected} (case {label})")
     return Piece(d=d, case=label, elements=elements,
                  certified=2 * len(elements) == euler_phi(d) or ctx.m == 2)
 
@@ -643,12 +644,10 @@ def _orbit_layer(q: int, modulus: int, rd: int, n: int, twist: int,
     powers = _powers(3, 2 * max(evens, odd_from + odds), q)
     even_powers = powers[0:2 * evens:2]
     odd_powers = powers[2 * odd_from + 1:2 * (odd_from + odds):2]
-    layer: set[int] = set()
-    for a in coset_reps((3,), modulus):
-        alpha = a * rd % q
-        layer.update(p * alpha % q for p in even_powers)
-        layer.update(p * (alpha + twist) % q for p in odd_powers)
-    return frozenset(layer)
+    alphas = [a * rd % q for a in coset_reps((3,), modulus)]
+    return frozenset([p * alpha % q for alpha in alphas for p in even_powers]
+                     + [p * (alpha + twist) % q for alpha in alphas
+                        for p in odd_powers])
 
 
 def build_four_times_odd(r: int) -> ConstructionReport:

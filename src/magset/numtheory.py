@@ -4,8 +4,8 @@ unit group.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share across threads.  Target scale is moduli up to
-about 10**6, where trial division and ascending scans are more than fast
-enough.
+about 10**6, where trial division is more than fast enough; a coset
+transversal walks every coset but the last (see `coset_reps`).
 """
 
 from __future__ import annotations
@@ -132,9 +132,11 @@ def _order_mod_prime_power(l: int, p: int, e: int) -> int:
 def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """Ascending coset transversal of <generators> in the units mod modulus.
 
-    Units are scanned in ascending order; each one not yet covered is a
-    representative, and its coset is covered by walking the generators
-    from it.  1 is therefore always the first representative.
+    Non-units are struck out by one slice per prime of the modulus.  Each
+    representative is the smallest unit left (`bytearray.find`: 1 first);
+    walking the generators from it covers its coset.  The walk stops at
+    phi/|H| representatives, |H| the order of a lone generator or else
+    the first coset's size: the last coset is never walked.
     """
     for g in generators:
         if math.gcd(g, modulus) != 1:
@@ -142,18 +144,21 @@ def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     if modulus == 1:
         return (1,)
     covered = bytearray(modulus)
-    reps: list[int] = []
-    for a in range(1, modulus):
-        if covered[a] or math.gcd(a, modulus) != 1:
-            continue
-        reps.append(a)
-        covered[a] = 1
-        frontier = [a]
-        while frontier:
-            x = frontier.pop()
+    for p, _ in factorize(modulus):
+        covered[::p] = b"\x01" * len(range(0, modulus, p))
+    units = euler_phi(modulus)
+    size = mult_order(generators[0], modulus) if len(generators) == 1 else 0
+    reps = [1]
+    while len(reps) * size < units:
+        covered[reps[-1]] = 1
+        coset = [reps[-1]]
+        for x in coset:  # also visits what the loop appends
             for g in generators:
                 y = x * g % modulus
                 if not covered[y]:
                     covered[y] = 1
-                    frontier.append(y)
+                    coset.append(y)
+        size = size or len(coset)
+        if len(reps) * size < units:
+            reps.append(covered.find(0, reps[-1] + 1))
     return tuple(reps)

@@ -2,17 +2,20 @@
 has all products e*b mod q (1 <= e <= lam) pairwise distinct and nonzero,
 and build the syndrome lookup table that property guarantees.
 
-Two independent implementations are provided; `is_b1_set` (a sweep that
-marks each product in a byte table of q flags) is the default and
-`is_b1_set_reference` (hash map) exists so tests can cross-check them
-against each other.  `build_syndrome_table` builds its table in one pass
-over the products and falls back to the sweep only to explain a
-rejection.  After sorting the input, `is_b1_set` runs in O(q + lam*|B|)
-time and the two hash-map passes in O(lam*|B|).
+Two independent implementations are provided; `is_b1_set` (product sets
+by blocks of elements: O(lam*|B|) set work in C, plus a Python sweep of
+one block on rejection) is the default and `is_b1_set_reference` (hash
+map) exists so tests can cross-check them against each other.
+`build_syndrome_table` builds its table in one pass over the products
+and calls `is_b1_set` only to explain a rejection.  Every entry point
+sorts the input as integers; an entry that `operator.index` refuses
+raises TypeError.
 """
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -41,44 +44,65 @@ class Verdict(NamedTuple):
 def _checked(elements: Iterable[int], q: int, lam: int) -> list[int]:
     if q < 1 or lam < 1:
         raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
-    elems = sorted(elements)
-    for b in elems:
-        if not 1 <= b <= q - 1:
-            raise ValueError(f"element {b} outside [1, {q - 1}]")
-    if any(a == b for a, b in zip(elems, elems[1:])):
+    items = list(elements)
+    try:
+        elems = sorted(map(operator.index, items))
+    except TypeError:
+        for x in items:
+            if not hasattr(type(x), "__index__"):
+                raise TypeError(f"element {x!r} is not an integer") from None
+        raise
+    if elems and not 1 <= elems[0] <= elems[-1] < q:
+        bad = elems[bisect.bisect_right(elems, q - 1) if elems[0] > 0 else 0]
+        raise ValueError(f"element {bad} outside [1, {q - 1}]")
+    if len(set(elems)) != len(elems):
         raise ValueError("elements must be distinct")
     return elems
 
 
-def is_b1_set(elements: Iterable[int], q: int, lam: int = 4) -> Verdict:
-    """Byte-table sweep in O(q + lam*|B|): mark each product e*b mod q.
+_BLOCK = 1024  # elements per block of is_b1_set
 
-    The table starts with residue 0 marked, so one test catches both a
-    zero product and a repeat.  The witness names the first failing
-    (e, b) in ascending-b, ascending-e order.
+
+def is_b1_set(elements: Iterable[int], q: int, lam: int = 4) -> Verdict:
+    """Product sets by ascending blocks of elements: O(lam*|B|) set work.
+
+    ``seen`` holds 0 and the products so far; each block's lam*|block|
+    products must miss it and grow it by as many keys.  The first block
+    that fails is swept in Python, b ascending then e, so the witness
+    names the first failing (e, b), paired with the first (e', b') of
+    its product: remembered by the sweep, or found by one list `index`
+    pass per magnitude over the earlier blocks.
     """
     elems = _checked(elements, q, lam)
-    seen = bytearray(q)
-    seen[0] = 1
-    for b in elems:
-        for e in range(1, lam + 1):
-            s = e * b % q
-            if seen[s]:
-                return Verdict(False, _witness(elems, q, lam, b, e))
-            seen[s] = 1
+    seen = {0}
+    for start in range(0, len(elems), _BLOCK):
+        block = elems[start:start + _BLOCK]
+        products = block + [e * b % q for e in range(2, lam + 1) for b in block]
+        size = len(seen) + len(products)
+        if seen.isdisjoint(products):
+            seen.update(products)
+            if len(seen) == size:
+                continue
+            seen.difference_update(products)  # back to the earlier blocks
+        return Verdict(False, _witness(elems, start, seen, q, lam))
     return Verdict(True, None)
 
 
-def _witness(elems: list[int], q: int, lam: int, b_bad: int, e_bad: int) -> Witness:
-    s_bad = e_bad * b_bad % q
-    if s_bad == 0:
-        return (e_bad, b_bad)
-    for b in elems:
+def _witness(elems: list[int], start: int, earlier: set[int], q: int,
+             lam: int) -> Witness:
+    head, in_block = elems[:start], {}
+    for b in elems[start:]:
         for e in range(1, lam + 1):
-            if (e, b) == (e_bad, b_bad):
-                continue
-            if e * b % q == s_bad:
-                return (e, b, e_bad, b_bad)
+            s = e * b % q
+            if s == 0:
+                return (e, b)
+            if s in earlier:  # s ends each pass, so index() never fails
+                i, e1 = min((([e1 * x % q for x in head] + [s]).index(s), e1)
+                            for e1 in range(1, lam + 1))
+                return (e1, head[i], e, b)
+            if s in in_block:
+                return (*in_block[s], e, b)
+            in_block[s] = (e, b)
     raise AssertionError("collision vanished on rewalk")  # pragma: no cover
 
 

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import importlib.util
 import itertools
 import json
+import pathlib
 import time
 
 import pytest
 
 from magset.cli import main
+from magset.constructions import construct
 
 
 def run(capsys, *argv):
@@ -50,6 +53,26 @@ def test_construct_usage_error_on_bad_modulus(capsys):
     code, _, err = run(capsys, "construct", "--q", "21")
     assert code == 2
     assert "divisible by 3" in err
+
+
+def _benchmark_construct_moduli():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "frozen.py"
+    spec = importlib.util.spec_from_file_location("bench_frozen", path)
+    frozen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(frozen)
+    return sorted(frozen.CONSTRUCT)
+
+
+def test_construct_json_is_json_dumps_indent_2(capsys):
+    # The element lists are joined outside json; the text must not move.
+    # q = 2, 4 have empty element lists, 10 one piece, the odd 61 no
+    # pieces; every benchmark modulus finishes in well under a second.
+    for q in [2, 4, 10, 61, *_benchmark_construct_moduli()]:
+        code, out, _ = run(capsys, "construct", "--q", str(q), "--json")
+        data = construct(q).to_json_dict()
+        assert code == 0
+        assert out == json.dumps(data, indent=2) + "\n", q
+        assert (data["pieces"] == []) == (q % 2 == 1), q
 
 
 def test_construct_json_roundtrips_through_verify(capsys):

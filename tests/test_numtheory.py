@@ -132,3 +132,41 @@ def test_coset_reps_of_three_and_two_lift():
         reps = coset_reps(gens, 2 * d)
         assert reps == brute_transversal(gens, 2 * d), d
         assert len(reps) * len(brute_subgroup(gens, 2 * d)) == euler_phi(d), d
+
+
+def covering_transversal(subgroup, modulus):
+    """Ascending units, each kept unless an earlier kept unit's coset,
+    multiplied out in full, holds it."""
+    reps, covered = [], set()
+    for a in range(1, modulus):
+        if math.gcd(a, modulus) == 1 and a not in covered:
+            reps.append(a)
+            covered |= {a * x % modulus for x in subgroup}
+    return tuple(reps)
+
+
+def test_coset_reps_match_brute_force_below_1500():
+    # Every modulus prime to 3, the eightfold moduli 2**k * d among them.
+    for modulus in range(2, 1500):
+        if modulus % 3:
+            assert coset_reps((3,), modulus) == brute_transversal(
+                (3,), modulus), modulus
+    # <3, d + 2> at every 2d: brute_subgroup would enumerate up to
+    # phi(d)**2 exponent pairs, so <3, b> is built as the cosets b**j <3>
+    # for j below the first power of b inside <3>.
+    for d in range(5, 750):
+        if math.gcd(d, 6) == 1:
+            modulus, b = 2 * d, d + 2
+            threes = brute_subgroup((3,), modulus)
+            subgroup, bj = set(threes), b
+            while bj not in threes:
+                subgroup |= {x * bj % modulus for x in threes}
+                bj = bj * b % modulus
+            assert coset_reps((3, b), modulus) == covering_transversal(
+                subgroup, modulus), d
+
+
+def test_coset_reps_single_coset_walks_nothing():
+    # 3 generates every unit mod 2 * 25013, so the transversal is found
+    # from the order of 3 alone.
+    assert coset_reps((3,), 50026) == (1,)

@@ -1,12 +1,17 @@
 """Validity checking: byte-table sweep vs reference map, witnesses, syndromes."""
 
+import bisect
 import random
+import re
 
 import pytest
 
 from golden_data import GOLDEN_SETS
+from magset import verifier
+from magset.codec import make_code
 from magset.constructions import construct
 from magset.verifier import (
+    _BLOCK,
     build_syndrome_table,
     format_witness,
     is_b1_set,
@@ -140,3 +145,61 @@ def test_syndrome_table_empty_and_overfull_sets():
                 elements = rng.sample(range(1, q), size)
                 with pytest.raises(ValueError, match="not a valid set"):
                     build_syndrome_table(elements, q, lam)
+
+
+def test_rejection_witnesses_across_blocks():
+    # One added double z = 2x of the q = 100042 set, first failing at z:
+    # in the first block, on either side of the first block boundary, in
+    # the middle and in the last block; and one zero product, 2*(q/2).
+    q = 100042
+    elements = sorted(construct(q).elements)
+    members = set(elements)
+    doubles = sorted((bisect.bisect_left(elements, 2 * x), 2 * x)
+                     for x in elements if 2 * x < q and 2 * x not in members)
+    targets = (10, _BLOCK - 1, _BLOCK + 1, len(elements) // 2,
+               len(elements) - 3)
+    added = [min(doubles, key=lambda d: abs(d[0] - t))[1] for t in targets]
+    for extra in [*added, q // 2]:
+        spoiled = [*elements, extra]
+        verdict = is_b1_set(spoiled, q)
+        assert not verdict.valid
+        assert verdict == is_b1_set_reference(spoiled, q), extra
+        message = f"not a valid set: {format_witness(verdict.witness, q)}"
+        with pytest.raises(ValueError) as err:
+            build_syndrome_table(spoiled, q)
+        assert str(err.value) == message
+    assert is_b1_set([*elements, q // 2], q).witness == (2, q // 2)
+
+
+def test_small_blocks_give_reference_witnesses(monkeypatch):
+    # Blocks of a few elements put witnesses and their partners in every
+    # relative position: same block, earlier block, first or later block.
+    rng = random.Random(20261019)
+    for block in (1, 2, 3, 5):
+        monkeypatch.setattr(verifier, "_BLOCK", block)
+        for _ in range(500):
+            q = rng.randrange(2, 400)
+            lam = rng.randrange(1, 6)
+            elements = rng.sample(range(1, q), rng.randrange(0, min(q - 1, 30) + 1))
+            assert is_b1_set(elements, q, lam) == is_b1_set_reference(
+                elements, q, lam), (block, q, lam, elements)
+
+
+@pytest.mark.parametrize("entry", [1.5, "3", None])
+def test_non_integer_entries_are_refused(entry):
+    message = re.escape(f"element {entry!r} is not an integer")
+    for check in (is_b1_set, is_b1_set_reference, build_syndrome_table,
+                  make_code):
+        with pytest.raises(TypeError, match=message):
+            check([1, entry], 10)
+
+
+def test_bool_and_numpy_entries_count_as_integers():
+    assert is_b1_set([True, 2], 9) == is_b1_set([1, 2], 9)
+    assert is_b1_set_reference([True], 10).valid
+    np = pytest.importorskip("numpy")
+    row = np.array(sorted(GOLDEN_SETS[20]), dtype=np.int64)
+    assert is_b1_set(row, 20).valid and is_b1_set_reference(row, 20).valid
+    assert build_syndrome_table(row, 20) == build_syndrome_table(
+        GOLDEN_SETS[20], 20)
+    assert make_code(row, 20).length == len(GOLDEN_SETS[20])
