@@ -31,6 +31,7 @@ from .codec import (UnknownSyndromeError, decode, encode, make_code,
                     simulate_channel)
 from .constructions import (build_twice_odd, construct, divisor_context,
                             hamming_upper_bound)
+from .numtheory import euler_phi
 from .residues import Instance
 from .search import Budget, SearchCache, default_cache_path, exact_max
 from .verifier import format_witness, is_b1_set
@@ -143,23 +144,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 # table
 # --------------------------------------------------------------------------
 
-def _primes_in(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p < hi (simple sieve; hi is small)."""
-    if hi <= 2:
-        return []
-    sieve = bytearray([1]) * hi
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(hi**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p:hi:p] = b"\x00" * len(range(p * p, hi, p))
-    return [p for p in range(max(lo, 2), hi) if sieve[p]]
-
-
 def _table_rows(max_p: int, oracle: bool) -> tuple[list[list[str]], list[list[str]]]:
     """Row data (as strings) for the two pattern families at q = 2p."""
     rows_a: list[list[str]] = []
     rows_b: list[list[str]] = []
-    for p in _primes_in(5, max_p):
+    for p in [x for x in range(5, max_p) if euler_phi(x) == x - 1]:  # primes
         ctx = divisor_context(p)
         piece = build_twice_odd(p, refine=False).pieces[-1]  # d = p
         size = f"{piece.size}" if piece.certified else f">={piece.size}"

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Optional
 
 from .numtheory import coset_reps, divisors, euler_phi, mult_order
@@ -127,20 +128,17 @@ class DivisorContext:
 def divisor_context(d: int) -> DivisorContext:
     """Compute the orbit parameters that select a pattern for divisor d.
 
-    The orbit of 3 is walked once, mod 2d, into ``powers``; n is its
-    size (also the order of 3 mod d, as 3 is odd) and the map from
-    residue mod d to exponent is built from it.  Family A's s is the
-    exponent of 2, family B's t is the first power of 2 that lands in
-    the orbit and its s the exponent of that power's inverse.
+    n is the order of 3 mod 2d (also mod d, as 3 is odd); ``powers`` is
+    the orbit of 3 mod 2d, and the map from residue mod d to exponent is
+    built from it.  Family A's s is the exponent of 2, family B's t is the
+    first power of 2 that lands in the orbit and its s the exponent of
+    that power's inverse.
     """
     if d < 5 or math.gcd(d, 6) != 1:
         raise ConstructionError(
             f"divisor contexts exist for d >= 5 with gcd(d, 6) = 1, got d={d}")
-    powers, x = [1], 3
-    while x != 1:
-        powers.append(x)
-        x = x * 3 % (2 * d)
-    n = len(powers)
+    n = mult_order(3, 2 * d)
+    powers = _powers(3, n, 2 * d)
     log = dict(zip([p % d for p in powers], range(n)))  # 3**e mod d -> e
     s_two = log.get(2)
     if s_two is not None:
@@ -165,21 +163,39 @@ def divisor_context(d: int) -> DivisorContext:
 
 
 # --------------------------------------------------------------------------
+# Both pattern families are written as runs (j, parity, start, stop): the
+# cells (j, 2i + parity) for start <= i < stop.  _cells expands them, and
+# _exponents the exponents alone (family A has the one row j = 0).
+#
 # Pattern family A: 2 lies in the orbit of 3 mod d.
 #
 # One piece is a set of exponents E; the piece elements are
 # {a * 3**e mod 2d : a in reps, e in E}.  Conflicts between exponents of
 # a single coset form the circulant graph C_n(+-1, +-s) (multiplying by
 # 3 shifts e by 1; multiplying by 2 shifts e by s), so E must be
-# independent in that circulant.  Most patterns below pack alternating
-# runs of even and odd exponents in blocks of length m; the k'=1 branch
-# with 2 < r' <= m uses a checkerboard with one domain wall instead.
+# independent in that circulant.  Most patterns are the blocks of even
+# then odd runs of length m (_blocks) plus a few literal runs; m = 2
+# (period 3) and the k'=1 branch with 2 < r' <= m (a checkerboard with
+# one domain wall) are not runs and stay explicit lists.
 # --------------------------------------------------------------------------
 
-def _alternating_block(exps: list[int], j: int, m: int) -> None:
-    """Append block j of the standard packing: m//2 evens then odds."""
-    exps.extend(2 * i for i in range(j * m, j * m + m // 2))
-    exps.extend(2 * i + 1 for i in range(j * m + m // 2, j * m + m - 1))
+def _exponents(runs):
+    """The exponents 2i + parity of each run, in order (an iterator)."""
+    return chain.from_iterable(range(2 * start + parity, 2 * stop + parity, 2)
+                               for _, parity, start, stop in runs)
+
+
+def _cells(runs: list) -> list[tuple[int, int]]:
+    """The cells (j, 2i + parity) of each run, in order."""
+    rows = chain.from_iterable(repeat(j, stop - start) for j, _, start, stop in runs)
+    return list(zip(rows, _exponents(runs)))
+
+
+def _blocks(count: int, m: int) -> list[tuple[int, int, int, int]]:
+    """The first ``count`` blocks of the standard packing: block b starts
+    at half-index lo = b*m with m//2 evens, then odds up to lo + m - 1."""
+    return [run for lo in range(0, count * m, m) for run in
+            ((0, 0, lo, lo + m // 2), (0, 1, lo + m // 2, lo + m - 1))]
 
 
 def _domain_wall_exponents(n: int, m: int) -> list[int]:
@@ -221,74 +237,52 @@ def _orbit_exponents(n: int, s: int, m: int, k_prime: int,
                      r_prime: int) -> tuple[str, list[int]]:
     """Choose the exponent pattern for family A; returns (case label, E)."""
     kp, rp = k_prime, r_prime
+    top = kp * m  # the half-index where the blocks end
     if n % 2 == 0:
         if s % 2 == 1:
             # All even exponents work: their pairwise differences are even
             # while both conflict offsets (1 and s) are odd.  Size n/2 meets
             # the in-class optimum.
-            return "n-even/s-odd", list(range(0, n, 2))
-        if m == 2:
+            label, runs = "n-even/s-odd", [(0, 0, 0, n // 2)]
+        elif m == 2:
             # Period-3 packing; provably the in-class optimum for m = 2.
             return "n-even/s-even/m=2", [3 * i for i in range(n // 3)]
-        E: list[int] = []
-        if rp == 0:
-            for j in range(kp):
-                _alternating_block(E, j, m)
-            return "n-even/s-even/r'=0", E
-        if rp == 2:
-            for j in range(kp):
-                _alternating_block(E, j, m)
-            E.append(2 * kp * m - 1)
-            return "n-even/s-even/r'=2", E
+        elif rp == 0:
+            label, runs = "n-even/s-even/r'=0", _blocks(kp, m)
+        elif rp == 2:
+            label, runs = "n-even/s-even/r'=2", _blocks(kp, m) + [(0, 1, top - 1, top)]
+        elif rp <= m and kp == 1:
+            return "n-even/s-even/2<r'<=m/k'=1", _domain_wall_exponents(n, m)
+        elif rp <= m:
+            label, runs = "n-even/s-even/2<r'<=m/k'>=2", _blocks(kp - 1, m) + [
+                (0, 0, top - m + 1, top - m // 2 + 1),
+                (0, 1, top - m // 2 + 1, top + 1),
+                (0, 1, top - m - 1, top - m)]
+        else:
+            label, runs = "n-even/s-even/r'>m", _blocks(kp - 1, m) + [
+                (0, 0, top - m, top + (rp - 3 * m) // 2),
+                (0, 1, top - (m + 2) // 2, top + (rp - 2 * m - 2) // 2),
+                (0, 0, top + (rp - 2 * m) // 2, top + (rp - m) // 2),
+                (0, 1, top + (rp - m) // 2, top + (rp - 2) // 2)]
+    elif m % 2 == 1:
+        label, runs = "n-odd/m-odd", [(0, 0, 0, (n - m) // 2)]
+    else:
+        # the evens of block k'-1, then odds and evens that depend on r'
+        runs = _blocks(kp - 1, m) + [(0, 0, top - m, top - m // 2)]
         if rp <= m:
-            if kp == 1:
-                return ("n-even/s-even/2<r'<=m/k'=1",
-                        _domain_wall_exponents(n, m))
-            for j in range(kp - 1):
-                _alternating_block(E, j, m)
-            E.extend(2 * i for i in range(kp * m - m + 1, kp * m - m // 2 + 1))
-            E.extend(2 * i + 1 for i in range(kp * m - m // 2 + 1, kp * m + 1))
-            E.append(2 * kp * m - 2 * m - 1)
-            return "n-even/s-even/2<r'<=m/k'>=2", E
-        for j in range(kp - 1):
-            _alternating_block(E, j, m)
-        E.extend(2 * i for i in range(kp * m - m, kp * m + (rp - 3 * m) // 2))
-        E.extend(2 * i + 1 for i in range(kp * m - (m + 2) // 2,
-                                          kp * m + (rp - 2 * m - 2) // 2))
-        E.extend(2 * i for i in range(kp * m + (rp - 2 * m) // 2,
-                                      kp * m + (rp - m) // 2))
-        E.extend(2 * i + 1 for i in range(kp * m + (rp - m) // 2,
-                                          kp * m + (rp - 2) // 2))
-        return "n-even/s-even/r'>m", E
-    # n odd
-    if m % 2 == 1:
-        return "n-odd/m-odd", list(range(0, n - m, 2))
-    E = []
-    if rp <= m:
-        for j in range(kp - 1):
-            _alternating_block(E, j, m)
-        E.extend(2 * i for i in range(kp * m - m, kp * m - m // 2))
-        E.extend(2 * i + 1 for i in range(kp * m - m // 2, (n - m - 1) // 2))
-        E.extend(2 * i for i in range(kp * m, (n - 1) // 2))
-        return "n-odd/m-even/r'<=m", E
-    if rp == m + 1:
-        # Boundary shape: extending the r'>m pattern here would put the odd
-        # exponent 2k'm - 1 next to the even exponent 2k'm (offset 1), so
-        # the final odd run stops one step early.  The one-larger packing
-        # does not exist for this shape (checked exactly for the smallest
-        # instances n=13, 19, 21).
-        for j in range(kp - 1):
-            _alternating_block(E, j, m)
-        E.extend(2 * i for i in range(kp * m - m, kp * m - m // 2))
-        E.extend(2 * i + 1 for i in range(kp * m - m // 2, kp * m - 1))
-        E.extend(2 * i for i in range((n - m - 1) // 2, (n - 3) // 2 + 1))
-        return "n-odd/m-even/r'=m+1", E
-    for j in range(kp - 1):
-        _alternating_block(E, j, m)
-    E.extend(2 * i for i in range(kp * m - m, kp * m - m // 2))
-    E.extend(2 * i + 1 for i in range(kp * m - m // 2, kp * m))
-    E.extend(2 * i for i in range((n - m - 1) // 2, (n - 3) // 2 + 1))
-    return "n-odd/m-even/r'>m", E
+            label = "n-odd/m-even/r'<=m"
+            runs += [(0, 1, top - m // 2, (n - m - 1) // 2),
+                     (0, 0, top, (n - 1) // 2)]
+        else:
+            # r' = m + 1 is a boundary shape: the r'>m pattern would put the odd
+            # exponent 2k'm - 1 next to the even exponent 2k'm, so the odd run
+            # stops one step early.  The one-larger packing does not exist
+            # here (checked exactly for the smallest instances n=13, 19, 21).
+            edge = rp == m + 1
+            label = "n-odd/m-even/r'=m+1" if edge else "n-odd/m-even/r'>m"
+            runs += [(0, 1, top - m // 2, top - 1 if edge else top),
+                     (0, 0, (n - m - 1) // 2, (n - 1) // 2)]
+    return label, list(_exponents(runs))
 
 
 # --------------------------------------------------------------------------
@@ -303,30 +297,22 @@ def _orbit_exponents(n: int, s: int, m: int, k_prime: int,
 # Cells must be independent in that grid.
 # --------------------------------------------------------------------------
 
-def _row(j: int, parity: int, split: int, start: int,
-         stop: int) -> list[tuple[int, int]]:
-    """Row j of a grid pattern: exponents 2i + parity for i < split, then
-    2i + 1 - parity for start <= i < stop."""
-    return ([(j, 2 * i + parity) for i in range(split)]
-            + [(j, 2 * i + 1 - parity) for i in range(start, stop)])
-
-
 def _grid_cells(n: int, t: int, s: int) -> tuple[str, list[tuple[int, int]]]:
     """Choose the cell pattern for family B; returns (case label, cells).
 
-    Rows j < t - 1 follow the run spec ``even`` or ``odd`` by the parity
-    of j, and row t - 1 follows ``last``; a spec is the (parity, split,
-    start, stop) of :func:`_row`.
+    Row j < t - 1 follows the spec ``even`` or ``odd`` by the parity of j,
+    row t - 1 follows ``last``; a spec (parity, split, start, stop) is the
+    runs (j, parity, 0, split) and (j, 1 - parity, start, stop).
     """
     label, even, odd, last = _grid_case(n, t, s)
-    cells: list[tuple[int, int]] = []
-    for j in range(t - 1):
-        cells += _row(j, *(odd if j % 2 else even))
-    return label, cells + _row(t - 1, *last)
+    rows = [odd if j % 2 else even for j in range(t - 1)] + [last]
+    return label, _cells([
+        run for j, (parity, split, start, stop) in enumerate(rows)
+        for run in ((j, parity, 0, split), (j, 1 - parity, start, stop))])
 
 
 def _grid_case(n: int, t: int, s: int) -> tuple[str, tuple, tuple, tuple]:
-    """The case label and the even-row, odd-row and last-row run specs.
+    """The case label and the even-row, odd-row and last-row specs.
 
     ``evens`` and ``odds`` fill a row with one parity; a spec
     (1, 0, start, stop) holds only the evens 2i with start <= i < stop.
@@ -679,12 +665,7 @@ def build_four_times_odd(r: int) -> ConstructionReport:
                 f"divisor d={d} piece at q={q} has {piece.size} "
                 f"elements, expected phi(d)={euler_phi(d)}")
         pieces.append(piece)
-    size = sum(p.size for p in pieces)
-    if size != r - 1:
-        raise ConstructionError(
-            f"q={q} construction produced {size} elements, "
-            f"expected r-1={r - 1}")
-    # upper_bound == r - 1: the bound is met
+    # the pieces total sum(phi(d) : d | r, d > 1) = r - 1 = upper_bound
     return _assemble(instance, pieces)
 
 

@@ -4,8 +4,8 @@ unit group.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share across threads.  Target scale is moduli up to
-about 10**6, where trial division is more than fast enough; a coset
-transversal walks every coset but the last (see `coset_reps`).
+about 10**6, where trial division is more than fast enough.  Every order
+is `mult_order`'s; a coset transversal walks every coset but the last.
 """
 
 from __future__ import annotations
@@ -97,34 +97,16 @@ def mult_order_naive(l: int, d: int) -> int:
 def mult_order(l: int, d: int) -> int:
     """Smallest n > 0 with l**n == 1 (mod d).
 
-    Computed structurally: the order mod d is the lcm of the orders mod
-    each prime power dividing d; mod p**e the order is the order mod p
-    (a divisor of p-1, found by testing divisors ascending) multiplied by
-    p as many times as needed.  Powers of 2 get their base order from a
-    direct check mod min(d, 8) since the unit group is not cyclic there.
+    The order divides phi(d), so start at n = phi(d) and divide each prime
+    p of phi(d) out of n while l**(n/p) == 1 (mod d).  The order divides
+    each n reached, and at the end no n/p works, so n is the order.
     """
     if d < 1 or math.gcd(l, d) != 1:
         raise ValueError(f"mult_order requires gcd(l, d) = 1, got l={l}, d={d}")
-    if d == 1:
-        return 1
-    out = 1
-    for p, e in factorize(d):
-        out = math.lcm(out, _order_mod_prime_power(l, p, e))
-    return out
-
-
-def _order_mod_prime_power(l: int, p: int, e: int) -> int:
-    if p == 2:
-        base_exp = min(e, 3)
-        n = mult_order_naive(l, 2**base_exp)  # group mod 8 has exponent 2
-        for j in range(base_exp + 1, e + 1):
-            if pow(l, n, 2**j) != 1:
-                n *= 2
-        return n
-    n = next(m for m in divisors(p - 1) if pow(l, m, p) == 1)
-    for j in range(2, e + 1):
-        if pow(l, n, p**j) != 1:
-            n *= p
+    n = euler_phi(d)
+    for p, _ in factorize(n):
+        while n % p == 0 and pow(l, n // p, d) == 1:
+            n //= p
     return n
 
 

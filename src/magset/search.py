@@ -333,14 +333,20 @@ def _components(neigh: list[int], mask: int) -> list[int]:
 
 
 def _solve(core: _Core, cand: int) -> list[tuple[int, int, int]]:
-    """(component, size, optimum) for each component of cand, up to and
-    including the one the budget cuts off."""
+    """(component, size, optimum) for each component of cand; from a cut-off
+    on, the greedy set (lowest vertex first) where the search found less."""
     parts = []
     for comp in _components(core.neigh, cand):
-        core.search(comp)
-        parts.append((comp, core.best_size, core.best_mask))
-        if not core.exact:
-            break
+        core.search(comp)  # after a cut-off this returns at once, empty
+        size, mask = core.best_size, core.best_mask
+        greedy, rest = 0, comp
+        while rest and not core.exact:
+            low = rest & -rest
+            greedy |= low
+            rest &= ~(core.neigh[low.bit_length() - 1] | low)
+        if greedy.bit_count() > size:
+            size, mask = greedy.bit_count(), greedy
+        parts.append((comp, size, mask))
     return parts
 
 
@@ -442,13 +448,13 @@ def exact_max(q: int, lam: int = 4, budget: Optional[Budget] = None,
               unit_split: bool = True) -> SearchResult:
     """Exact maximum valid-set size for modulus q (with lex-min witness).
 
-    Returns a budget-exhausted lower bound (exact=False) instead of
-    raising when the search is cut off.  The lex-min witness phase draws
-    on the nodes the proof left; if it is cut off, the proof's witness is
-    returned instead.  ``cache`` is read only with ``lex_witness`` and
-    ``unit_split`` both true, and written only when the witness phase
-    finished, so it never serves another witness or a node count of the
-    other search mode.
+    Returns a budget-exhausted lower bound (exact=False), each component
+    from the cut-off on holding at least its greedy set, instead of
+    raising.  The lex-min witness phase draws on the nodes the proof left;
+    if it is cut off, the proof's witness is returned instead.  ``cache``
+    is read only with ``lex_witness`` and ``unit_split`` both true, and
+    written only when the witness phase finished, so it never serves
+    another witness or a node count of the other search mode.
     """
     cache = cache if lex_witness and unit_split else None
     if cache is not None:

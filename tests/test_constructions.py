@@ -14,6 +14,7 @@ from golden_data import (
     TABLE_CIRCULANT,
     TABLE_GRID,
 )
+from magset.cli import main
 from magset.constructions import (
     ConstructionError,
     _class_optimum,
@@ -272,6 +273,29 @@ def test_construct_sweep_matches_frozen_outputs():
             part = part.base
         assert (report.size, report.tight, tuple(uncertified)) == SWEEP[q], q
     assert digest.hexdigest() == SWEEP_SHA256
+
+
+#: SHA-256 over repr((d, case, sorted(elements), certified)) of
+#: build_divisor_piece(d, 2d) for every d < 6000 with gcd(d, 6) = 1.
+PIECES_SHA256 = "61d2b2da2f177e3b07ab4ce73a2d6c474ef57d040024662ee6ac0fa767783792"
+#: SHA-256 of the output of ``magset table --family 2p --max-p 400``.
+TABLE_400_SHA256 = "5754af8cbf3ed6389b253509a71201a760c047fdae08a94ccb8e47e0bd77b317"
+
+
+def test_divisor_pieces_match_frozen_digest():
+    digest = hashlib.sha256()
+    for d in range(5, 6000):
+        if math.gcd(d, 6) == 1:
+            piece = build_divisor_piece(d, 2 * d)
+            digest.update(repr((d, piece.case, sorted(piece.elements),
+                                piece.certified)).encode())
+    assert digest.hexdigest() == PIECES_SHA256
+
+
+def test_table_output_matches_frozen_digest(capsys):
+    assert main(["table", "--family", "2p", "--max-p", "400"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_400_SHA256
 
 
 def test_domain_wall_branch_pieces():

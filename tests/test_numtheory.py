@@ -74,6 +74,22 @@ def test_mult_order_matches_naive_loop():
             assert mult_order(ell, d) == mult_order_naive(ell, d), (ell, d)
 
 
+def test_mult_order_certificates_at_eightfold_scale():
+    # Moduli 2**k * d as the eightfold recursion meets them, beyond the
+    # reach of the naive loop: n is an order of l exactly when l**n == 1
+    # and l**(n/p) != 1 for every prime p of n.
+    for d in (1, 5, 7, 12547, 25013, 5 * 7 * 11 * 13):
+        for k in range(21):
+            modulus = 2**k * d
+            for ell in {3, d + 2}:
+                if math.gcd(ell, modulus) != 1:
+                    continue
+                n = mult_order(ell, modulus)
+                assert pow(ell, n, modulus) == 1 % modulus, (ell, modulus)
+                for p, _ in factorize(n):
+                    assert pow(ell, n // p, modulus) != 1, (ell, modulus, p)
+
+
 def test_mult_order_rejects_non_unit():
     with pytest.raises(ValueError):
         mult_order(3, 9)

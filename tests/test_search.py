@@ -104,6 +104,17 @@ def test_budget_cuts_off_with_lower_bound():
     assert is_b1_set(result.witness, 106).valid
 
 
+def test_cut_off_keeps_a_greedy_set_in_every_later_component():
+    # q = 313 has two 156-vertex components, q = 329 five components; a
+    # search cut off in the first used to count every later component,
+    # and the whole non-unit branch, as 0 (31 and 28 at 1000 nodes).
+    for q, size in ((313, 55), (329, 59)):
+        result = exact_max(q, budget=Budget(max_nodes=1000))
+        assert result.exact is False, q
+        assert len(result.witness) == result.max_size >= size, q
+        assert is_b1_set(result.witness, q).valid, q
+
+
 def test_node_budget_bounds_the_witness_phase(tmp_path):
     # One node beyond the proof: the lex-min witness phase is cut off, so
     # the proof's own optimum is returned and nothing is cached.
