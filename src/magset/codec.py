@@ -93,7 +93,8 @@ def make_code(elements: Iterable[int], q: int, lam: int = 4) -> LinearCode:
     """Build the code for a valid set (raises ValueError if not valid)."""
     row = tuple(elements)
     table = build_syndrome_table(row, q, lam)  # validates the set
-    return LinearCode(q=q, lam=lam, elements=tuple(sorted(row)), table=table)
+    return LinearCode(q=q, lam=lam, elements=tuple(sorted(map(operator.index, row))),
+                      table=table)
 
 
 def _check_word(code: LinearCode, word: Sequence[int], name: str) -> list[int]:

@@ -4,7 +4,8 @@ A *valid set* for modulus ``q`` and magnitude bound ``lam`` is a set of
 nonzero residues whose syndromes ``e * b mod q`` (``1 <= e <= lam``) are
 pairwise distinct and never zero (see :mod:`magset.verifier`).  This
 module builds such sets of maximum known size for ``q = 2**k * r`` with
-``gcd(r, 6) = 1`` and ``lam = 4``, covering three modulus shapes:
+``gcd(r, 6) = 1`` and ``lam = 4``, covering three even modulus shapes
+(an odd ``q`` takes the exact search's witness instead):
 
 * ``q = 2r``   -- a union of per-divisor pieces, one for each divisor
   ``d`` of ``r``.  Each piece lives inside the class ``V_d`` of residues
@@ -16,16 +17,17 @@ module builds such sets of maximum known size for ``q = 2**k * r`` with
   ``exact_max(2d)`` restricted to ``V_d`` certifies or improves while
   the class is small.
 * ``q = 4r``   -- an exactly maximum set of size ``r - 1`` (this meets
-  the counting upper bound ``floor((q-1)/4)``), assembled from one piece
-  per divisor ``d > 1`` of ``r``.
-* ``q = 2**k r`` with ``k >= 3`` -- a recursion: an explicit layer of
+  the counting upper bound ``floor((q-1)/4)``): the layer's orbit
+  pieces below at ``M = 2d``, one per divisor ``d > 1`` of ``r``.
+* ``q = 2**k r`` with ``k >= 3`` -- a recursion: a layer of
   ``2**(k-3) * r`` new elements, all of 2-adic valuation at most 2, is
   united with ``8 * S`` where ``S`` is a constructed set for modulus
-  ``q / 8``.  The layer size is exact, so the result is maximum exactly
-  when the recursive base is.
+  ``q / 8``.  The layer holds one orbit piece of 3 per divisor ``d`` of
+  ``r`` at ``M = 2**(k-2) * d`` (see :func:`_orbit_layer`); its size is
+  exact, so the result is maximum exactly when the recursive base is.
 
-Every constructed set is passed through the verifier, as a whole,
-before being reported; a failure raises :class:`ConstructionError`
+Every route ends in one assembly step that verifies the whole set
+before it is reported; a failure raises :class:`ConstructionError`
 rather than returning a bad set.  Pieces are checked only inside that
 union: a ``q = 2r`` piece is valid at ``q`` exactly when its pattern is
 valid at ``2d``, since scaling by ``r/d`` maps conflicts to conflicts
@@ -38,8 +40,8 @@ maximum for all even ``q <= 106``, and the pattern sums alone
 ``r <= 53``.  Beyond that some patterns fall short (first at
 d = 59, 71, 73, 79); only pieces that meet the counting bound (or have
 m = 2) and search-certified pieces are claimed maximum.  A report is
-``tight`` exactly when all its pieces are certified and its base, if
-any, is tight.
+``tight`` exactly when all its pieces are certified, its base, if any,
+is tight and its search, if any, was exact.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Optional
 
 from .numtheory import coset_reps, divisors, euler_phi, mult_order
 from .residues import Instance
-from .search import Budget, exact_max
+from .search import Budget, SearchResult, exact_max
 from .verifier import format_witness, is_b1_set
 
 __all__ = [
@@ -465,15 +467,6 @@ def _powers(g: int, count: int, mod: int) -> list[int]:
     return out
 
 
-def _verify_or_raise(elements, q: int, what: str) -> bool:
-    verdict = is_b1_set(elements, q)
-    if not verdict:
-        raise ConstructionError(
-            f"{what} failed verification at q={q}: "
-            f"{format_witness(verdict.witness, q)}")
-    return True
-
-
 def _instance(k: int, r: int) -> Instance:
     """The instance q = 2**k * r, lam = 4, for an odd r coprime to 6."""
     if r < 1 or r % 2 == 0 or math.gcd(r, 6) != 1:
@@ -482,25 +475,35 @@ def _instance(k: int, r: int) -> Instance:
 
 
 def _assemble(instance: Instance, pieces: list[Piece],
-              base: Optional[ConstructionReport] = None) -> ConstructionReport:
-    """Unite the pieces (and 8 * base), check they are disjoint, verify
-    the union and report it; the report is tight when every piece is
-    certified and the base, if any, is tight."""
+              base: Optional[ConstructionReport] = None,
+              found: Optional[SearchResult] = None) -> ConstructionReport:
+    """Unite the pieces, 8 * base and the witness of the search result
+    ``found``, check they are disjoint, verify the union and report it.
+    The report is tight when every piece is certified, the base (if any)
+    is tight and the search (if any) was exact."""
     q = instance.q
     parts = [p.elements for p in pieces]
     if base is not None:
         parts.append(frozenset([8 * x for x in base.elements]))  # 8x < q
+    if found is not None:
+        parts.append(frozenset(found.witness))
     elements = frozenset().union(*parts)
     if len(elements) != sum(len(part) for part in parts):
         raise ConstructionError(f"pieces overlap at q={q}")
+    verdict = is_b1_set(elements, q)
+    if not verdict:
+        raise ConstructionError(
+            f"assembled set failed verification at q={q}: "
+            f"{format_witness(verdict.witness, q)}")
     return ConstructionReport(
         instance=instance,
         elements=elements,
         pieces=tuple(pieces),
         upper_bound=hamming_upper_bound(q, 4),
-        verified=_verify_or_raise(elements, q, f"assembled set for q={q}"),
+        verified=True,
         tight=(all(p.certified for p in pieces)
-               and (base is None or base.tight)),
+               and (base is None or base.tight)
+               and (found is None or found.exact)),
         base=base,
     )
 
@@ -615,80 +618,87 @@ def build_twice_odd(r: int, *, refine: bool = True,
 
 
 # --------------------------------------------------------------------------
-# q = 4r
+# q = 4r and the layer of q = 2^k r, k >= 3: one orbit piece per divisor
 # --------------------------------------------------------------------------
 
-def _orbit_layer(q: int, modulus: int, rd: int, n: int, twist: int,
-                 odd_from: int) -> frozenset[int]:
-    """One divisor's orbit piece mod q: for each representative a of the
-    cosets of <3> mod ``modulus`` and alpha = a * rd, the even powers
-    3**(2i) * alpha for i < n when the order n is odd; when n is even,
-    those for i < n/2 and the odd powers 3**(2i+1) * (alpha + twist) for
-    odd_from <= i < odd_from + n/2.
+def _orbit_layer(q: int, level: int, r: int, d: int) -> tuple[int, frozenset[int]]:
+    """The orbit piece of divisor d mod q at M = level * d; returns
+    (case, elements).  The level is 2 for q = 4r and 2**(k-2) for
+    q = 2**k r, k >= 3.
+
+    Let n be the order of 3 mod M and alpha = a * r/d for each
+    representative a of the cosets of <3> mod M.  The piece holds the
+    even powers 3**(2i) * alpha and, when n is even, odd powers:
+
+    * case 0, n odd: the even powers for i < n alone;
+    * case 1, n even and 3**n == 1 (mod 2M): those for i < n/2 and the
+      odd powers 3**(2i+1) * (alpha + level * r) for i < n/2;
+    * case 2, otherwise: those for i < n/2 and the odd powers
+      3**(2i+1) * alpha for n/2 <= i < n.
+
+    The order n' of 3 mod 2M is n or 2n, told apart by one power: M is
+    even, so x == 1 (mod M) gives x**2 == 1 (mod 2M), and n | n' | 2n;
+    n' = n exactly when 3**n == 1 (mod 2M).  Each case gives n elements
+    per coset, phi(M) in all, which is checked.
     """
-    evens, odds = (n, 0) if n % 2 == 1 else (n // 2, n // 2)
+    modulus = level * d
+    n = mult_order(3, modulus)
+    if n % 2 == 1:
+        case, evens, twist, odd_from = 0, n, 0, 0
+    elif pow(3, n, 2 * modulus) == 1:
+        case, evens, twist, odd_from = 1, n // 2, level * r, 0
+    else:
+        case, evens, twist, odd_from = 2, n // 2, 0, n // 2
+    odds = n - evens
     powers = _powers(3, 2 * max(evens, odd_from + odds), q)
     even_powers = powers[0:2 * evens:2]
     odd_powers = powers[2 * odd_from + 1:2 * (odd_from + odds):2]
-    alphas = [a * rd % q for a in coset_reps((3,), modulus)]
-    return frozenset([p * alpha % q for alpha in alphas for p in even_powers]
-                     + [p * (alpha + twist) % q for alpha in alphas
-                        for p in odd_powers])
+    scale = r // d
+    alphas = [a * scale % q for a in coset_reps((3,), modulus)]
+    elements = frozenset([p * alpha % q for alpha in alphas for p in even_powers]
+                         + [p * (alpha + twist) % q for alpha in alphas
+                            for p in odd_powers])
+    if len(elements) != euler_phi(modulus):
+        raise ConstructionError(f"piece of d={d} at q={q} has "
+                                f"{len(elements)} elements, not phi({modulus})")
+    return case, elements
 
 
 def build_four_times_odd(r: int) -> ConstructionReport:
     """Maximum valid set for q = 4r (gcd(r,6)=1): size exactly r - 1.
 
-    For each divisor d > 1 of r, let n1 be the order of 3 mod 2d and
-    alpha = a * r/d for a coset representative a of <3> mod 2d.  If n1
-    is odd, the even powers {3**(2i) * alpha} already give n1 elements
-    per coset; if n1 is even, half come from even powers of alpha and
-    half from odd powers of the twist alpha + 2r.  Summing phi(d) over
+    Each divisor d > 1 of r gives the orbit piece of :func:`_orbit_layer`
+    at M = 2d, with phi(2d) = phi(d) elements; summing phi(d) over
     d | r, d > 1 gives r - 1, which meets the counting upper bound
     floor((4r-1)/4) -- so the result is always maximum (tight=True).
+    Case 2 cannot occur at M = 2d: for even n, 3**n == 1 mod 4 and mod
+    d, hence mod 4d.
     """
     instance = _instance(2, r)
     q = instance.q
-    pieces: list[Piece] = []
-    for d in divisors(r):
-        if d == 1:
-            # V_1 = {r, 2r, 3r} mod 4r: each member has a syndrome hitting
-            # 0 (4r, 2*2r, 4*3r), so this class is exactly empty.
-            pieces.append(Piece(1, "forced-empty", frozenset(), True))
-            continue
-        n1 = mult_order(3, 2 * d)
-        label = "orbit-even-powers" if n1 % 2 == 1 else "orbit-split-twist"
-        piece = Piece(d, label, _orbit_layer(q, 2 * d, r // d, n1, 2 * r, 0),
-                      True)
-        if piece.size != euler_phi(d):
-            raise ConstructionError(
-                f"divisor d={d} piece at q={q} has {piece.size} "
-                f"elements, expected phi(d)={euler_phi(d)}")
-        pieces.append(piece)
-    # the pieces total sum(phi(d) : d | r, d > 1) = r - 1 = upper_bound
+    # V_1 = {r, 2r, 3r} mod 4r: each member has a syndrome hitting 0
+    # (4r, 2*2r, 4*3r), so this class is exactly empty.
+    pieces = [Piece(1, "forced-empty", frozenset(), True)]
+    for d in divisors(r)[1:]:
+        case, elements = _orbit_layer(q, 2, r, d)
+        if case == 2:
+            raise ConstructionError(f"3**n != 1 (mod 4d) at M = 2d, d={d}")
+        pieces.append(Piece(d, ("orbit-even-powers", "orbit-split-twist")[case],
+                            elements, True))
     return _assemble(instance, pieces)
 
-
-# --------------------------------------------------------------------------
-# q = 2^k r, k >= 3
-# --------------------------------------------------------------------------
 
 def build_eightfold(k: int, r: int,
                     base: ConstructionReport) -> ConstructionReport:
     """Valid set for q = 2**k r from one for q/8: new layer plus 8*base.
 
-    The new layer contributes, for each divisor d of r, elements
-    a * (r/d) * 3**e (optionally twisted) chosen by comparing the orders
-    n_lo, n_hi of 3 modulo M = 2**(k-2) d and 2M; it totals exactly
-    2**(k-3) * r elements, each of 2-adic valuation at most 2.  Scaling
-    the base set by 8 shifts all its syndromes to valuation >= 3, so the
-    union stays valid for ANY valid base set.  The layer size being
-    exact, the result is maximum precisely when the base is
+    The new layer holds, for each divisor d of r, the orbit piece of
+    :func:`_orbit_layer` at M = 2**(k-2) d, with phi(M) elements, each
+    of 2-adic valuation at most 2; they total exactly 2**(k-3) * r.
+    Scaling the base set by 8 shifts all its syndromes to valuation
+    >= 3, so the union stays valid for ANY valid base set.  The layer
+    size being exact, the result is maximum precisely when the base is
     (tight = base.tight).
-
-    n_hi is n_lo or 2 n_lo, told apart by one power: M is even, so
-    x == 1 (mod M) gives x**2 == 1 (mod 2M), and n_lo | n_hi | 2 n_lo;
-    n_hi = n_lo exactly when 3**n_lo == 1 (mod 2M).
     """
     if k < 3:
         raise ConstructionError(f"eightfold recursion needs k >= 3, got {k}")
@@ -699,22 +709,10 @@ def build_eightfold(k: int, r: int,
             f"base modulus {base.instance.q} is not q/8 = {q // 8}")
     pieces: list[Piece] = []
     for d in divisors(r):
-        mod_lo = (1 << (k - 2)) * d
-        n_lo = mult_order(3, mod_lo)
-        if n_lo % 2 == 1:
-            label, twist, odd_from = "layer-odd-order", 0, 0
-        elif pow(3, n_lo, 2 * mod_lo) == 1:  # n_hi == n_lo
-            label, twist, odd_from = "layer-matched-orders", (1 << (k - 2)) * r, 0
-        else:  # n_hi == 2 * n_lo
-            label, twist, odd_from = "layer-doubled-order", 0, n_lo // 2
-        pieces.append(Piece(d, label, _orbit_layer(q, mod_lo, r // d, n_lo,
-                                                   twist, odd_from), True))
-    size = sum(p.size for p in pieces)
-    expected_layer = (1 << (k - 3)) * r
-    if size != expected_layer:
-        raise ConstructionError(
-            f"layer for q={q} has {size} elements, "
-            f"expected {expected_layer}")
+        case, elements = _orbit_layer(q, 1 << (k - 2), r, d)
+        label = ("layer-odd-order", "layer-matched-orders",
+                 "layer-doubled-order")[case]
+        pieces.append(Piece(d, label, elements, True))
     return _assemble(instance, pieces, base)
 
 
@@ -750,16 +748,7 @@ def construct(q: int, lam: int = 4, *,
             f"satisfy gcd(r, 6) = 1")
     k, r = instance.k, instance.r
     if k == 0:
-        result = exact_max(q, lam, budget=budget)
-        elements = frozenset(result.witness)
-        report = ConstructionReport(
-            instance=instance,
-            elements=elements,
-            pieces=(),
-            upper_bound=hamming_upper_bound(q, lam),
-            verified=_verify_or_raise(elements, q, f"search set for q={q}"),
-            tight=result.exact,
-        )
+        report = _assemble(instance, [], found=exact_max(q, lam, budget=budget))
     elif k == 1:
         report = build_twice_odd(r, budget=budget)
     elif k == 2:

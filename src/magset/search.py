@@ -179,7 +179,7 @@ class SearchCache:
             return
         self._loaded = True
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
+            with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
                 for line in fh:
                     line = line.strip()
                     if not line:

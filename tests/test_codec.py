@@ -261,6 +261,16 @@ def test_numpy_entries_match_per_element_formula():
             assert decode(code, word) == want
 
 
+def test_numpy_parity_row_is_stored_as_ints():
+    np = pytest.importorskip("numpy")
+    plain = make_code([1, 9, 13, 17], 20)
+    code = make_code(np.array([1, 9, 13, 17], dtype=np.int64), 20)
+    assert code.elements == plain.elements
+    assert all(type(b) is int for b in code.elements)
+    assert encode(code, [2, 0, 0]) == encode(plain, [2, 0, 0]) == (2, 2, 0, 0)
+    assert decode(code, [2, 5, 0, 0]) == decode(plain, [2, 5, 0, 0])
+
+
 @pytest.mark.parametrize("q", sorted(GOLDEN_SETS))
 def test_simulate_corrects_every_trial(q):
     # one in-range error per word is always corrected, whatever the stream

@@ -280,6 +280,9 @@ def test_construct_sweep_matches_frozen_outputs():
 PIECES_SHA256 = "61d2b2da2f177e3b07ab4ce73a2d6c474ef57d040024662ee6ac0fa767783792"
 #: SHA-256 of the output of ``magset table --family 2p --max-p 400``.
 TABLE_400_SHA256 = "5754af8cbf3ed6389b253509a71201a760c047fdae08a94ccb8e47e0bd77b317"
+#: SHA-256 over json.dumps(construct(q).to_json_dict()) plus a newline for
+#: the 740 moduli of test_layered_and_odd_routes_match_frozen_digest.
+LAYERED_740_SHA256 = "affffb69b996368e19a69dd5ad5bb7956fea5657682ed518e8d44e7756024df7"
 
 
 def test_divisor_pieces_match_frozen_digest():
@@ -296,6 +299,22 @@ def test_table_output_matches_frozen_digest(capsys):
     assert main(["table", "--family", "2p", "--max-p", "400"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_400_SHA256
+
+
+def test_layered_and_odd_routes_match_frozen_digest():
+    # Beyond the q <= 2000 sweep: 4r for r < 1500, 2^k r for k = 5, 8
+    # (r < 300) and k = 3 (r < 60), and the odd moduli below 60, whose
+    # reports come from the search.
+    coprime = [r for r in range(1, 1500) if math.gcd(r, 6) == 1]
+    moduli = ([4 * r for r in coprime]
+              + [(1 << k) * r for k, top in ((5, 300), (8, 300), (3, 60))
+                 for r in coprime if r < top]
+              + [q for q in coprime if q < 60])
+    assert len(moduli) == 740
+    digest = hashlib.sha256()
+    for q in moduli:
+        digest.update(json.dumps(construct(q).to_json_dict()).encode() + b"\n")
+    assert digest.hexdigest() == LAYERED_740_SHA256
 
 
 def test_domain_wall_branch_pieces():

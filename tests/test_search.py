@@ -302,6 +302,17 @@ def test_cache_skips_json_lines_that_are_not_objects(tmp_path):
     assert cache.get(20, 4).max_size == 4
 
 
+def test_cache_skips_lines_that_are_not_utf8(tmp_path):
+    # One undecodable line is skipped like any corrupt line; the valid
+    # record after it is served (its node count marks it as the cached one).
+    path = tmp_path / "cache.jsonl"
+    record = dict(exact_max(44).to_record(), nodes=7)
+    path.write_bytes(b"\xff\xfe\n" + json.dumps(record).encode() + b"\n")
+    result = exact_max(44, cache=SearchCache(str(path)))
+    assert result.nodes_expanded == 7
+    assert list(result.witness) == record["witness"]
+
+
 def test_cache_skips_records_its_witness_contradicts(tmp_path):
     # Neither a size that the witness does not have nor an invalid
     # witness of the stated size is served; the search recomputes.
