@@ -20,6 +20,13 @@ search is a deterministic branch-and-bound maximum-independent-set solver:
   1, best over non-unit vertices only), and on a tie the branch through
   vertex 1, the smallest vertex, holds the lexicographically smallest
   optimum;
+* an orbit seed for the branch through vertex 1: for each cyclic
+  subgroup H of the units, largest first, the largest valid union of
+  cosets uH that contains H, found by the same expansion on the quotient
+  graph of the cosets; the best union is the branch's starting set;
+* a counting-bound skip: a component where the seed holds
+  floor(distinct syndromes of the component / lam) vertices is solved
+  by the seed, as no valid set inside it is larger, and is not searched;
 * both phases run per connected component: the first proves the value
   of each component of both branches; the optional second rebuilds the
   witness inside each component of the winning branch as that
@@ -34,8 +41,9 @@ witness inside a union of components is that union's lex-min optimum.
 
 One node is one expansion; the node budget covers both phases, the
 witness phase spending what the proof left.  `nodes_expanded` counts the
-nodes of the optimization phase only, so repeated runs on the same inputs
-report identical numbers.
+nodes of the optimization phase (the quotient searches of the seed
+included) only, so repeated runs on the same inputs report identical
+numbers.
 
 Results can be persisted to an append-only JSONL cache keyed by (q, lam);
 only exactly-solved records of the default search (lex-min witness, unit
@@ -46,12 +54,13 @@ witness is a valid set of ``max_size`` elements at (q, lam).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .verifier import is_b1_set_reference
 
@@ -332,13 +341,35 @@ def _components(neigh: list[int], mask: int) -> list[int]:
     return comps
 
 
-def _solve(core: _Core, cand: int) -> list[tuple[int, int, int]]:
-    """(component, size, optimum) for each component of cand; from a cut-off
-    on, the greedy set (lowest vertex first) where the search found less."""
+def _counting_bound(comp: int, syn: Sequence[int], lam: int) -> int:
+    """floor(|syndromes of comp| / lam): the members of a valid set inside
+    comp own disjoint lam-sets of the component's syndromes."""
+    union = 0
+    while comp:
+        low = comp & -comp
+        comp ^= low
+        union |= syn[low.bit_length() - 1]
+    return union.bit_count() // lam
+
+
+def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
+           lam: int = 1) -> list[tuple[int, int, int]]:
+    """(component, size, optimum) for each component of cand.
+
+    ``seed`` is a valid set inside cand, with ``syn`` the syndrome masks
+    of the vertices.  A component whose part of the seed meets the
+    counting bound is not searched; any other is searched for a set
+    larger than that part, which it keeps when none is found.  From a
+    cut-off on, the greedy set (lowest vertex first) stands in where it is
+    larger."""
     parts = []
     for comp in _components(core.neigh, cand):
-        core.search(comp)  # after a cut-off this returns at once, empty
-        size, mask = core.best_size, core.best_mask
+        mask = seed & comp
+        size = mask.bit_count()
+        if not size or size < _counting_bound(comp, syn, lam):
+            core.search(comp, size)  # after a cut-off this returns at once
+            if core.best_size > size:
+                size, mask = core.best_size, core.best_mask
         greedy, rest = 0, comp
         while rest and not core.exact:
             low = rest & -rest
@@ -348,6 +379,71 @@ def _solve(core: _Core, cand: int) -> list[tuple[int, int, int]]:
             size, mask = greedy.bit_count(), greedy
         parts.append((comp, size, mask))
     return parts
+
+
+def _orbit_seed(core: _Core, q: int, lam: int, index: dict[int, int],
+                syn: Sequence[int]) -> int:
+    """The largest valid union of cosets uH of one cyclic subgroup H of
+    the units (Z/q)^*, H among them, as a vertex mask without vertex 1.
+
+    Scaling by a unit keeps a set valid, so the cosets of H are valid sets
+    exactly when H is, and a union of them is valid iff no two of them
+    conflict: an independent set of the quotient graph on the cosets.
+    Each distinct H other than {1} is built once, largest first.  The
+    quotient search spends from ``core``'s node budget and only has to
+    beat the best union so far; none runs once that union meets the
+    counting bound of the vertices outside the neighbourhood of 1.
+    """
+    units = [x for x in range(1, q) if math.gcd(x, q) == 1]
+    groups, done = [], set()
+    for g in units:  # <g> = <g^k> for every k prime to the order of g
+        if g not in done:
+            orbit, x = [1], g
+            while x != 1:
+                orbit.append(x)
+                x = x * g % q
+            done.update(x for k, x in enumerate(orbit)
+                        if math.gcd(k, len(orbit)) == 1)
+            groups.append(orbit)
+    groups.sort(key=len, reverse=True)  # stable: ascending generators
+    one, around = 1 << index[1], core.neigh[index[1]]
+    room = 1 + _counting_bound(((1 << len(syn)) - 1) & ~(around | one),
+                               syn, lam)
+    # every unit u is a vertex (scaling {1} by u keeps it valid), and u, v
+    # conflict iff 1 and v/u do: the units form the Cayley graph of
+    # (Z/q)^* with the connection set near
+    near = {x for x in units if around >> index[x] & 1}
+    best_size, best = 1, [[1]]
+    for group in groups:
+        h = len(group)
+        if h == 1 or best_size >= room:
+            break
+        if not near.isdisjoint(group):
+            continue  # H itself is not a valid set
+        cosets, label = [], {}
+        for u in units:
+            if u not in label:
+                coset = [u * x % q for x in group]
+                label.update(dict.fromkeys(coset, len(cosets)))
+                cosets.append(coset)
+        # uH and vH conflict iff v/u lies in near * H
+        neigh = [sum({1 << label[c[0] * y % q] for y in near})
+                 for c in cosets]
+        quotient = _Core(neigh, core.budget, core.t0)
+        quotient.nodes = core.nodes  # one budget: carry the count over
+        quotient.search(((1 << len(cosets)) - 2) & ~neigh[0],
+                        max(best_size // h - 1, 0))
+        core.nodes, core.exact = quotient.nodes, quotient.exact
+        if h * (1 + quotient.best_size) > best_size:
+            best_size = h * (1 + quotient.best_size)
+            chosen = quotient.best_mask | 1
+            best = [c for i, c in enumerate(cosets) if chosen >> i & 1]
+        if not core.exact:
+            break
+    mask = 0
+    for x in itertools.chain.from_iterable(best):
+        mask |= 1 << index[x]
+    return mask & ~one
 
 
 def _lexmin_witness(core: _Core, cand: int, target: int,
@@ -408,7 +504,13 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
         # the smallest vertex: {1} is a component of the first branch, and
         # on a tie that branch holds the lex-min optimum
         one = 1 << index[1]
-        parts = [(one, 1, one)] + _solve(core, full & ~(neigh[index[1]] | one))
+        syn = [0] * len(verts)
+        for x, i in index.items():
+            for e in range(1, graph.lam + 1):
+                syn[i] |= 1 << (e * x % graph.q)
+        seed = _orbit_seed(core, graph.q, graph.lam, index, syn)
+        parts = [(one, 1, one)] + _solve(
+            core, full & ~(neigh[index[1]] | one), seed, syn, graph.lam)
         nonunit = 0
         for x, i in index.items():
             if math.gcd(x, graph.q) != 1:
@@ -449,12 +551,14 @@ def exact_max(q: int, lam: int = 4, budget: Optional[Budget] = None,
     """Exact maximum valid-set size for modulus q (with lex-min witness).
 
     Returns a budget-exhausted lower bound (exact=False), each component
-    from the cut-off on holding at least its greedy set, instead of
-    raising.  The lex-min witness phase draws on the nodes the proof left;
-    if it is cut off, the proof's witness is returned instead.  ``cache``
-    is read only with ``lex_witness`` and ``unit_split`` both true, and
-    written only when the witness phase finished, so it never serves
-    another witness or a node count of the other search mode.
+    from the cut-off on holding at least its greedy set and, in the
+    branch through vertex 1, at least its part of the orbit seed, which
+    may then be the witness, instead of raising.  The lex-min witness
+    phase draws on the nodes the proof left; if it is cut off, the
+    proof's witness is returned instead.  ``cache`` is read only with
+    ``lex_witness`` and ``unit_split`` both true, and written only when
+    the witness phase finished, so it never serves another witness or a
+    node count of the other search mode.
     """
     cache = cache if lex_witness and unit_split else None
     if cache is not None:

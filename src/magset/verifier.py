@@ -15,6 +15,7 @@ raises TypeError.
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
@@ -70,8 +71,8 @@ def is_b1_set(elements: Iterable[int], q: int, lam: int = 4) -> Verdict:
     products must miss it and grow it by as many keys.  The first block
     that fails is swept in Python, b ascending then e, so the witness
     names the first failing (e, b), paired with the first (e', b') of
-    its product: remembered by the sweep, or found by one list `index`
-    pass per magnitude over the earlier blocks.
+    its product: remembered by the sweep, or, in an earlier block, found
+    by solving e'*b' == e*b (mod q) for each e' and bisecting for b'.
     """
     elems = _checked(elements, q, lam)
     seen = {0}
@@ -90,20 +91,37 @@ def is_b1_set(elements: Iterable[int], q: int, lam: int = 4) -> Verdict:
 
 def _witness(elems: list[int], start: int, earlier: set[int], q: int,
              lam: int) -> Witness:
-    head, in_block = elems[:start], {}
+    in_block = {}
     for b in elems[start:]:
         for e in range(1, lam + 1):
             s = e * b % q
             if s == 0:
                 return (e, b)
-            if s in earlier:  # s ends each pass, so index() never fails
-                i, e1 = min((([e1 * x % q for x in head] + [s]).index(s), e1)
-                            for e1 in range(1, lam + 1))
-                return (e1, head[i], e, b)
+            if s in earlier:  # the earlier blocks are valid: one e1*x is s
+                e1, x = next((e1, x) for e1 in range(1, lam + 1)
+                             for x in _solutions(e1, s, q)
+                             if _member(elems, x, start))
+                return (e1, x, e, b)
             if s in in_block:
                 return (*in_block[s], e, b)
             in_block[s] = (e, b)
     raise AssertionError("collision vanished on rewalk")  # pragma: no cover
+
+
+def _solutions(e: int, s: int, q: int) -> range:
+    """The x in [0, q) with e*x == s (mod q): none unless g = gcd(e, q)
+    divides s, else g of them, q/g apart."""
+    g = math.gcd(e, q)
+    if s % g:
+        return range(0)
+    m = q // g
+    return range(s // g * pow(e // g, -1, m) % m, q, m)
+
+
+def _member(elems: list[int], x: int, stop: int) -> bool:
+    """Whether x is among the sorted elems[:stop]."""
+    i = bisect.bisect_left(elems, x, 0, stop)
+    return i < stop and elems[i] == x
 
 
 def is_b1_set_reference(elements: Iterable[int], q: int, lam: int = 4) -> Verdict:

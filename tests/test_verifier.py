@@ -171,6 +171,32 @@ def test_rejection_witnesses_across_blocks():
     assert is_b1_set([*elements, q // 2], q).witness == (2, q // 2)
 
 
+def test_later_block_witnesses_equal_reference_randomized():
+    # Sets of more than one block, spoiled by residues past the first
+    # block, so that the witness's partner is mostly found in an earlier
+    # block by solving e1*x == s (mod q); even q give e1 with several
+    # roots.  Every verdict, witness included, equals the reference's.
+    rng = random.Random(20261019)
+    partners_before = 0
+    for q in (4 * 1031, 2 * 2503, 2 * 4099):
+        elements = sorted(construct(q).elements)
+        assert len(elements) > _BLOCK
+        members = set(elements)
+        for _ in range(60):
+            lam = rng.randrange(1, 5)
+            extra = rng.sample([x for x in range(elements[_BLOCK], q)
+                                if x not in members], rng.randrange(1, 4))
+            spoiled = sorted(elements + extra)
+            verdict = is_b1_set(spoiled, q, lam)
+            assert verdict == is_b1_set_reference(spoiled, q, lam), (
+                q, lam, extra)
+            if verdict.witness is not None and len(verdict.witness) == 4:
+                _, b1, _, b2 = verdict.witness
+                start = spoiled.index(b2) // _BLOCK * _BLOCK
+                partners_before += spoiled.index(b1) < start
+    assert partners_before >= 100
+
+
 def test_small_blocks_give_reference_witnesses(monkeypatch):
     # Blocks of a few elements put witnesses and their partners in every
     # relative position: same block, earlier block, first or later block.
