@@ -27,6 +27,18 @@ search is a deterministic branch-and-bound maximum-independent-set solver:
 * a counting-bound skip: a component where the seed holds
   floor(distinct syndromes of the component / lam) vertices is solved
   by the seed, as no valid set inside it is larger, and is not searched;
+* inversion symmetry broken at the root (orbital branching, Ostrowski et
+  al., Math. Prog. 2011): for units, x ~ y iff x/y lies in
+  T = {t : e*t == e' (mod q) for some e != e' <= lam}, and T = T^-1, so
+  x -> x^-1 is an automorphism of the graph on the units.  In a
+  component made of units that it maps onto itself, a root branch on v
+  also takes v^-1 out of the later root branches: a set through v^-1
+  but not v maps to one through v, already searched.  Only at the
+  root: below it the candidates depend on the branch taken, and
+  inversion does not map them onto themselves.  The extension
+  g*u -> g*u^-1 to non-units is not an automorphism (q = 18), so a
+  component with a non-unit is searched in full.  The seed's quotient
+  searches use uH -> u^-1 H the same way;
 * both phases run per connected component: the first proves the value
   of each component of both branches; the optional second rebuilds the
   witness inside each component of the winning branch as that
@@ -249,7 +261,8 @@ class _Core:
             self.exact = False
         return not self.exact
 
-    def search(self, cand: int, best: int = 0, first: bool = False) -> None:
+    def search(self, cand: int, best: int = 0, first: bool = False,
+               mirror: Optional[Sequence[Optional[int]]] = None) -> None:
         """Raise best_size/best_mask above ``best`` with an independent set
         inside cand; with ``first``, stop at the first such set.
 
@@ -258,6 +271,9 @@ class _Core:
         them from the last class down: a vertex of class c can lead to at
         most cnt + c, so the node stops once that is no better than the
         best, and a tried vertex leaves the candidates of its siblings.
+        ``mirror`` is an involutive automorphism of the graph on cand:
+        a root vertex v takes mirror[v] out of its siblings' candidates
+        too, as any set through mirror[v] but not v maps to one through v.
         """
         neigh = self.neigh
         self.best_size, self.best_mask = best, 0
@@ -299,13 +315,18 @@ class _Core:
             v = todo.pop()[1]
             vbit = 1 << v
             frame[0] = cand ^ vbit
+            if mirror and len(frames) == 1:
+                w = mirror[v]
+                frame[0] &= ~(1 << w)
+                todo[:] = [t for t in todo if t[1] != w]
             cand &= ~(neigh[v] | vbit)
             cnt += 1
             mask |= vbit
-            if not cand:
-                # a leaf improves: v misses a member of every earlier
-                # class, so only a class-1 vertex empties cand, and it
-                # passed cnt > best
+            if not cand and cnt > self.best_size:
+                # a leaf: v misses a member of every earlier class, so
+                # without mirror only a class-1 vertex empties cand, and
+                # it passed cnt > best; a root mirror strike can empty it
+                # at any class
                 self.best_size, self.best_mask = cnt, mask
                 if first:
                     return
@@ -352,8 +373,22 @@ def _counting_bound(comp: int, syn: Sequence[int], lam: int) -> int:
     return union.bit_count() // lam
 
 
+def _image(comp: int, mirror: Sequence[Optional[int]]) -> Optional[int]:
+    """The mask mirror maps comp to, or None if it misses a vertex."""
+    image = 0
+    while comp:
+        low = comp & -comp
+        comp ^= low
+        w = mirror[low.bit_length() - 1]
+        if w is None:
+            return None
+        image |= 1 << w
+    return image
+
+
 def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
-           lam: int = 1) -> list[tuple[int, int, int]]:
+           lam: int = 1, mirror: Optional[Sequence[Optional[int]]] = None
+           ) -> list[tuple[int, int, int]]:
     """(component, size, optimum) for each component of cand.
 
     ``seed`` is a valid set inside cand, with ``syn`` the syndrome masks
@@ -361,13 +396,17 @@ def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
     counting bound is not searched; any other is searched for a set
     larger than that part, which it keeps when none is found.  From a
     cut-off on, the greedy set (lowest vertex first) stands in where it is
-    larger."""
+    larger.  ``mirror`` (unit index to the index of its inverse, None on
+    non-units) breaks inversion symmetry in each component it maps onto
+    itself."""
     parts = []
     for comp in _components(core.neigh, cand):
         mask = seed & comp
         size = mask.bit_count()
         if not size or size < _counting_bound(comp, syn, lam):
-            core.search(comp, size)  # after a cut-off this returns at once
+            # after a cut-off this returns at once
+            core.search(comp, size, mirror=mirror if mirror
+                        and _image(comp, mirror) == comp else None)
             if core.best_size > size:
                 size, mask = core.best_size, core.best_mask
         greedy, rest = 0, comp
@@ -431,8 +470,11 @@ def _orbit_seed(core: _Core, q: int, lam: int, index: dict[int, int],
                  for c in cosets]
         quotient = _Core(neigh, core.budget, core.t0)
         quotient.nodes = core.nodes  # one budget: carry the count over
+        # uH -> u^-1 H fixes H and, near * H being inverse-closed, is an
+        # automorphism of the quotient graph
         quotient.search(((1 << len(cosets)) - 2) & ~neigh[0],
-                        max(best_size // h - 1, 0))
+                        max(best_size // h - 1, 0),
+                        mirror=[label[pow(c[0], -1, q)] for c in cosets])
         core.nodes, core.exact = quotient.nodes, quotient.exact
         if h * (1 + quotient.best_size) > best_size:
             best_size = h * (1 + quotient.best_size)
@@ -509,11 +551,15 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
             for e in range(1, graph.lam + 1):
                 syn[i] |= 1 << (e * x % graph.q)
         seed = _orbit_seed(core, graph.q, graph.lam, index, syn)
+        # x -> x^-1 is an automorphism of the graph on the units
+        mirror = [index[pow(x, -1, graph.q)] if math.gcd(x, graph.q) == 1
+                  else None for x in verts]
         parts = [(one, 1, one)] + _solve(
-            core, full & ~(neigh[index[1]] | one), seed, syn, graph.lam)
+            core, full & ~(neigh[index[1]] | one), seed, syn, graph.lam,
+            mirror)
         nonunit = 0
-        for x, i in index.items():
-            if math.gcd(x, graph.q) != 1:
+        for i, w in enumerate(mirror):
+            if w is None:
                 nonunit |= 1 << i
         other = _solve(core, nonunit)
         if sum(p[1] for p in other) > sum(p[1] for p in parts):

@@ -147,13 +147,14 @@ def test_node_budget_bounds_the_witness_phase(tmp_path):
 
 
 def test_witness_phase_fits_in_the_proof_budget(tmp_path):
-    # q = 191: the proof takes 5,840 nodes, and the lex-min phase, run
-    # per component, fits in what is left of 20,000 and is cached.
+    # q = 191: the proof takes 4,205 nodes (5,840 before inversion
+    # symmetry was broken at the root), and the lex-min phase, run per
+    # component, fits in what is left of 20,000 and is cached.
     path = tmp_path / "cache.jsonl"
     budget = Budget(max_nodes=20_000, max_seconds=math.inf)
     result = exact_max(191, budget=budget, cache=SearchCache(str(path)))
     assert result.exact and result.max_size == 42
-    assert result.nodes_expanded == 5840
+    assert result.nodes_expanded == 4205
     assert result.witness == (
         1, 5, 6, 7, 13, 16, 17, 27, 33, 38, 42, 47, 50, 58, 60, 62, 70, 71,
         72, 74, 77, 78, 88, 91, 92, 118, 122, 123, 130, 135, 137, 146, 159,
@@ -180,6 +181,34 @@ def test_witness_phase_starts_from_the_proof_optimum(tmp_path):
         129, 140, 142, 145)
     assert is_b1_set(result.witness, 149).valid
     assert SearchCache(str(path)).get(149, 4).witness == result.witness
+
+
+def test_inversion_is_an_automorphism_of_the_unit_graph():
+    # x -> x^-1 maps the units onto themselves, edges onto edges: x ~ y
+    # iff x/y lies in T = {t : e*t == e' (mod q), e != e'}, and T = T^-1.
+    for q in range(5, 151):
+        graph = conflict_graph(q)
+        units = {x for x in graph.vertices if math.gcd(x, q) == 1}
+        inv = {x: pow(x, -1, q) for x in units}
+        assert set(inv.values()) == units, q
+        for x in units:
+            assert {inv[y] for y in graph.neighbors[x] & units} == \
+                graph.neighbors[inv[x]] & units, (q, x)
+
+
+def test_inversion_does_not_extend_to_non_units():
+    # x = g*u -> g*u^-1 (g = gcd(x, q), u a unit mod q/g) permutes the
+    # vertices at q = 18 but maps the edge 1 ~ 14 (both hit 2) to 1, 8,
+    # which share no product: non-unit components get no mirror.
+    graph = conflict_graph(18)
+
+    def flip(x):
+        g = math.gcd(x, 18)
+        return g * pow(x // g, -1, 18 // g) % 18
+
+    assert sorted(map(flip, graph.vertices)) == list(graph.vertices)
+    assert 14 in graph.neighbors[1] and flip(14) == 8
+    assert 8 not in graph.neighbors[flip(1)]
 
 
 def _brute_alpha(neigh, cand):
@@ -225,6 +254,78 @@ def test_core_matches_brute_force_alpha():
                     assert bin(mask).count("1") >= need
                     assert all(not neigh[v] & mask
                                for v in range(len(neigh)) if mask >> v & 1)
+
+
+def _mirrored_graphs():
+    """Each graph of _graphs() with a random involution, the images of
+    its edges added so that the involution is an automorphism."""
+    rng = random.Random(5)
+    for neigh in _graphs():
+        n = len(neigh)
+        order = rng.sample(range(n), n)
+        mirror = list(range(n))
+        for u, v in zip(order[0::2], order[1:rng.randint(0, n // 2) * 2:2]):
+            mirror[u], mirror[v] = v, u
+        sym = list(neigh)
+        for u in range(n):
+            for v in range(n):
+                if neigh[u] >> v & 1:
+                    sym[mirror[u]] |= 1 << mirror[v]
+        yield sym, mirror
+
+
+def _check_mirrored_search(neigh, mirror, cand):
+    alpha = _brute_alpha(neigh, cand)
+    for best in range(alpha + 1):
+        core = _Core(neigh, Budget(10**6, math.inf), time.monotonic())
+        core.search(cand, best, mirror=mirror)
+        assert core.exact and core.best_size == alpha, (neigh, cand, best)
+        if best < alpha:
+            mask = core.best_mask
+            assert mask & ~cand == 0 and bin(mask).count("1") == alpha
+            assert all(not neigh[v] & mask
+                       for v in range(len(neigh)) if mask >> v & 1)
+
+
+def _edges(n, edges):
+    neigh = [0] * n
+    for u, v in edges:
+        neigh[u] |= 1 << v
+        neigh[v] |= 1 << u
+    return neigh
+
+
+def test_core_with_mirror_matches_brute_force_alpha():
+    # Inversion symmetry broken at the root: the value and an optimum are
+    # unchanged, from any preset best up to the optimum, for the whole
+    # vertex set and for unions of mirror orbits.
+    rng = random.Random(3)
+    for neigh, mirror in _mirrored_graphs():
+        full = (1 << len(neigh)) - 1
+        orbits = rng.getrandbits(len(neigh)) & full
+        for v in range(len(neigh)):
+            if orbits >> v & 1:
+                orbits |= 1 << mirror[v]
+        for cand in (full, orbits):
+            _check_mirrored_search(neigh, mirror, cand)
+    # The 8-cycle 0-3-2-1-6-5-4-7-0 and its reflection i -> 7 - i: a
+    # mirror applied below the root as well finds 3, not 4.
+    cycle = _edges(8, [(0, 3), (3, 2), (2, 1), (1, 6), (6, 5), (5, 4),
+                       (4, 7), (7, 0)])
+    _check_mirrored_search(cycle, [7, 6, 5, 4, 3, 2, 1, 0], 255)
+
+
+def test_core_with_mirror_keeps_best_when_a_mirror_strike_empties_a_child():
+    # Mirror i -> 7 - i; the root classes are {0, 1}, {2, 3}, {4, 5} and
+    # {6, 7}.  From best = 2 = alpha, the root branches on 7, 6 and 5,
+    # striking 0, 1 and 2.  Vertex 4, of class 3, misses only 1, 2 and 6,
+    # so its child has no candidate at count 1: that leaf must not lower
+    # the best to 1.
+    neigh = _edges(8, [(0, 1), (0, 3), (0, 4), (0, 7), (1, 2), (1, 5),
+                       (1, 6), (2, 3), (2, 5), (2, 6), (3, 4), (3, 7),
+                       (4, 5), (4, 7), (5, 6), (6, 7)])
+    assert _brute_alpha(neigh, 255) == 2
+    _check_mirrored_search(neigh, [7, 6, 5, 4, 3, 2, 1, 0], 255)
 
 
 def _brute_lexmin(neigh, cand, memo):
