@@ -29,7 +29,7 @@ import math
 import operator
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -179,13 +179,7 @@ class ChannelStats:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "corrected": self.corrected,
-            "detected": self.detected,
-            "miscorrected": self.miscorrected,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def simulate_channel(code: LinearCode, trials: int, error_rate: float = 1.0,

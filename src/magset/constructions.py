@@ -52,7 +52,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from typing import Optional
 
-from .numtheory import coset_reps, divisors, euler_phi, mult_order
+from .numtheory import coset_reps, divisors, euler_phi, mult_order, power_list
 from .residues import Instance
 from .search import Budget, SearchResult, exact_max
 from .verifier import format_witness, is_b1_set
@@ -140,7 +140,7 @@ def divisor_context(d: int) -> DivisorContext:
         raise ConstructionError(
             f"divisor contexts exist for d >= 5 with gcd(d, 6) = 1, got d={d}")
     n = mult_order(3, 2 * d)
-    powers = _powers(3, n, 2 * d)
+    powers = power_list(3, n, 2 * d)
     log = dict(zip([p % d for p in powers], range(n)))  # 3**e mod d -> e
     s_two = log.get(2)
     if s_two is not None:
@@ -457,16 +457,6 @@ class ConstructionReport:
         }
 
 
-def _powers(g: int, count: int, mod: int) -> list[int]:
-    """``[pow(g, e, mod) for e in range(count)]`` by a running product."""
-    out = []
-    x = 1 % mod
-    for _ in range(count):
-        out.append(x)
-        x = x * g % mod
-    return out
-
-
 def _instance(k: int, r: int) -> Instance:
     """The instance q = 2**k * r, lam = 4, for an odd r coprime to 6."""
     if r < 1 or r % 2 == 0 or math.gcd(r, 6) != 1:
@@ -546,7 +536,7 @@ def build_divisor_piece(d: int, q: int) -> Piece:
         factors = [powers[e % n] for e in exps]
     else:
         label, cells = _grid_cells(n, ctx.t, ctx.s)
-        b_powers = _powers(ctx.b, ctx.t, qd)
+        b_powers = power_list(ctx.b, ctx.t, qd)
         factors = [b_powers[j] * powers[e % n] % qd for j, e in cells]
     # x * r/d < q for x < 2d: scaling neither wraps nor collides.
     scale = r // d
@@ -650,7 +640,7 @@ def _orbit_layer(q: int, level: int, r: int, d: int) -> tuple[int, frozenset[int
     else:
         case, evens, twist, odd_from = 2, n // 2, 0, n // 2
     odds = n - evens
-    powers = _powers(3, 2 * max(evens, odd_from + odds), q)
+    powers = power_list(3, 2 * max(evens, odd_from + odds), q)
     even_powers = powers[0:2 * evens:2]
     odd_powers = powers[2 * odd_from + 1:2 * (odd_from + odds):2]
     scale = r // d
@@ -720,7 +710,7 @@ def build_eightfold(k: int, r: int,
 # Dispatcher
 # --------------------------------------------------------------------------
 
-def construct(q: int, lam: int = 4, *,
+def construct(q: int, *,
               budget: Optional[Budget] = None) -> ConstructionReport:
     """Best known valid set for modulus q = 2**k r with gcd(r, 6) = 1.
 
@@ -737,24 +727,20 @@ def construct(q: int, lam: int = 4, *,
     construction and the total size has the closed form
     (q + 3r - 7) / 7, which is checked internally.
     """
-    if lam != 4:
-        raise ConstructionError(
-            f"explicit constructions exist for magnitude bound 4 only, "
-            f"got {lam}")
-    instance = Instance.from_q(q, lam)
+    instance = Instance.from_q(q)
     if not instance.coprime_to_six:
         raise ConstructionError(
             f"no construction for q={q}: odd part r={instance.r} must "
             f"satisfy gcd(r, 6) = 1")
     k, r = instance.k, instance.r
     if k == 0:
-        report = _assemble(instance, [], found=exact_max(q, lam, budget=budget))
+        report = _assemble(instance, [], found=exact_max(q, budget=budget))
     elif k == 1:
         report = build_twice_odd(r, budget=budget)
     elif k == 2:
         report = build_four_times_odd(r)
     else:
-        base = construct(q >> 3, lam, budget=budget)
+        base = construct(q >> 3, budget=budget)
         report = build_eightfold(k, r, base)
     if k % 3 == 2 and k >= 2:
         closed_form = (q + 3 * r - 7) // 7

@@ -1,11 +1,12 @@
 """Modular-arithmetic substrate: factorization, divisors, totients,
-2-adic valuations, multiplicative orders and coset transversals in the
-unit group.
+2-adic valuations, multiplicative orders, power lists and coset
+transversals in the unit group.
 
-Everything here is a pure function of its inputs; returned objects are
+Everything here is a pure function of its inputs; cached results are
 immutable and safe to share across threads.  Target scale is moduli up to
 about 10**6, where trial division is more than fast enough.  Every order
-is `mult_order`'s; a coset transversal walks every coset but the last.
+is `mult_order`'s, every list of successive powers `power_list`'s; a
+coset transversal walks every coset but the last.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "mult_order",
     "mult_order_naive",
     "two_adic_valuation",
+    "power_list",
     "coset_reps",
 ]
 
@@ -108,6 +110,16 @@ def mult_order(l: int, d: int) -> int:
         while n % p == 0 and pow(l, n // p, d) == 1:
             n //= p
     return n
+
+
+def power_list(g: int, count: int, mod: int) -> list[int]:
+    """``[pow(g, e, mod) for e in range(count)]`` by a running product."""
+    out = []
+    x = 1 % mod
+    for _ in range(count):
+        out.append(x)
+        x = x * g % mod
+    return out
 
 
 @lru_cache(maxsize=None)

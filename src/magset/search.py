@@ -33,7 +33,10 @@ search is a deterministic branch-and-bound maximum-independent-set solver:
   x -> x^-1 is an automorphism of the graph on the units.  In a
   component made of units that it maps onto itself, a root branch on v
   also takes v^-1 out of the later root branches: a set through v^-1
-  but not v maps to one through v, already searched.  Only at the
+  but not v maps to one through v, already searched.  One vertex tells
+  whether it does: the units outside the closed neighbourhood of 1 are
+  closed under inversion, so the image of a component of units is
+  connected and is the component once it meets it.  Only at the
   root: below it the candidates depend on the branch taken, and
   inversion does not map them onto themselves.  The extension
   g*u -> g*u^-1 to non-units is not an automorphism (q = 18), so a
@@ -66,14 +69,14 @@ witness is a valid set of ``max_size`` elements at (q, lam).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from .numtheory import coset_reps, mult_order, power_list
 from .verifier import is_b1_set_reference
 
 __all__ = [
@@ -190,10 +193,10 @@ def default_cache_path() -> str:
 class SearchCache:
     """Append-only JSONL store of exactly-solved search results."""
 
-    def __init__(self, path: Optional[str]) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         self._mem: dict[tuple[int, int], SearchResult] = {}
-        self._loaded = path is None
+        self._loaded = False
 
     def _load(self) -> None:
         if self._loaded:
@@ -235,9 +238,8 @@ class SearchCache:
         if (result.q, result.lam) in self._mem:
             return
         self._mem[(result.q, result.lam)] = result
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(result.to_record()) + "\n")
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(result.to_record()) + "\n")
 
 
 class _Core:
@@ -341,6 +343,14 @@ class _Core:
         return self.exact and self.best_size >= need
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def _components(neigh: list[int], mask: int) -> list[int]:
     comps = []
     todo = mask
@@ -350,11 +360,8 @@ def _components(neigh: list[int], mask: int) -> list[int]:
         frontier = seed
         while frontier:
             grown = comp
-            c = frontier
-            while c:
-                low = c & -c
-                c ^= low
-                grown |= neigh[low.bit_length() - 1] & mask
+            for v in _bits(frontier):
+                grown |= neigh[v] & mask
             frontier = grown & ~comp
             comp = grown
         comps.append(comp)
@@ -366,29 +373,14 @@ def _counting_bound(comp: int, syn: Sequence[int], lam: int) -> int:
     """floor(|syndromes of comp| / lam): the members of a valid set inside
     comp own disjoint lam-sets of the component's syndromes."""
     union = 0
-    while comp:
-        low = comp & -comp
-        comp ^= low
-        union |= syn[low.bit_length() - 1]
+    for v in _bits(comp):
+        union |= syn[v]
     return union.bit_count() // lam
 
 
-def _image(comp: int, mirror: Sequence[Optional[int]]) -> Optional[int]:
-    """The mask mirror maps comp to, or None if it misses a vertex."""
-    image = 0
-    while comp:
-        low = comp & -comp
-        comp ^= low
-        w = mirror[low.bit_length() - 1]
-        if w is None:
-            return None
-        image |= 1 << w
-    return image
-
-
 def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
-           lam: int = 1, mirror: Optional[Sequence[Optional[int]]] = None
-           ) -> list[tuple[int, int, int]]:
+           lam: int = 1, mirror: Optional[Sequence[Optional[int]]] = None,
+           units: int = 0) -> list[tuple[int, int, int]]:
     """(component, size, optimum) for each component of cand.
 
     ``seed`` is a valid set inside cand, with ``syn`` the syndrome masks
@@ -397,16 +389,20 @@ def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
     larger than that part, which it keeps when none is found.  From a
     cut-off on, the greedy set (lowest vertex first) stands in where it is
     larger.  ``mirror`` (unit index to the index of its inverse, None on
-    non-units) breaks inversion symmetry in each component it maps onto
-    itself."""
+    non-units) breaks inversion symmetry in each component inside the
+    mask ``units`` that it maps onto itself.  cand's units must be closed
+    under inversion; then the image of such a component is a connected
+    set of cand's units, so it is the component once it holds the image
+    of the component's lowest vertex."""
     parts = []
     for comp in _components(core.neigh, cand):
         mask = seed & comp
         size = mask.bit_count()
         if not size or size < _counting_bound(comp, syn, lam):
             # after a cut-off this returns at once
-            core.search(comp, size, mirror=mirror if mirror
-                        and _image(comp, mirror) == comp else None)
+            closed = mirror and not comp & ~units and \
+                comp >> mirror[(comp & -comp).bit_length() - 1] & 1
+            core.search(comp, size, mirror=mirror if closed else None)
             if core.best_size > size:
                 size, mask = core.best_size, core.best_mask
         greedy, rest = 0, comp
@@ -437,13 +433,10 @@ def _orbit_seed(core: _Core, q: int, lam: int, index: dict[int, int],
     groups, done = [], set()
     for g in units:  # <g> = <g^k> for every k prime to the order of g
         if g not in done:
-            orbit, x = [1], g
-            while x != 1:
-                orbit.append(x)
-                x = x * g % q
-            done.update(x for k, x in enumerate(orbit)
-                        if math.gcd(k, len(orbit)) == 1)
-            groups.append(orbit)
+            group = power_list(g, mult_order(g, q), q)
+            done.update(x for k, x in enumerate(group)
+                        if math.gcd(k, len(group)) == 1)
+            groups.append(group)
     groups.sort(key=len, reverse=True)  # stable: ascending generators
     one, around = 1 << index[1], core.neigh[index[1]]
     room = 1 + _counting_bound(((1 << len(syn)) - 1) & ~(around | one),
@@ -459,12 +452,10 @@ def _orbit_seed(core: _Core, q: int, lam: int, index: dict[int, int],
             break
         if not near.isdisjoint(group):
             continue  # H itself is not a valid set
-        cosets, label = [], {}
-        for u in units:
-            if u not in label:
-                coset = [u * x % q for x in group]
-                label.update(dict.fromkeys(coset, len(cosets)))
-                cosets.append(coset)
+        # group[1] generates H; cosets ordered by their least elements
+        cosets = [[u * x % q for x in group]
+                  for u in coset_reps((group[1],), q)]
+        label = {x: i for i, coset in enumerate(cosets) for x in coset}
         # uH and vH conflict iff v/u lies in near * H
         neigh = [sum({1 << label[c[0] * y % q] for y in near})
                  for c in cosets]
@@ -482,10 +473,7 @@ def _orbit_seed(core: _Core, q: int, lam: int, index: dict[int, int],
             best = [c for i, c in enumerate(cosets) if chosen >> i & 1]
         if not core.exact:
             break
-    mask = 0
-    for x in itertools.chain.from_iterable(best):
-        mask |= 1 << index[x]
-    return mask & ~one
+    return sum(1 << index[x] for coset in best for x in coset) & ~one
 
 
 def _lexmin_witness(core: _Core, cand: int, target: int,
@@ -517,12 +505,7 @@ def _lexmin_witness(core: _Core, cand: int, target: int,
 
 
 def _mask_to_residues(mask: int, verts: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(verts[low.bit_length() - 1])
-    return tuple(sorted(out))
+    return tuple(verts[v] for v in _bits(mask))  # verts ascend
 
 
 def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
@@ -554,14 +537,11 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
         # x -> x^-1 is an automorphism of the graph on the units
         mirror = [index[pow(x, -1, graph.q)] if math.gcd(x, graph.q) == 1
                   else None for x in verts]
+        units = sum(1 << i for i, w in enumerate(mirror) if w is not None)
         parts = [(one, 1, one)] + _solve(
             core, full & ~(neigh[index[1]] | one), seed, syn, graph.lam,
-            mirror)
-        nonunit = 0
-        for i, w in enumerate(mirror):
-            if w is None:
-                nonunit |= 1 << i
-        other = _solve(core, nonunit)
+            mirror, units)
+        other = _solve(core, full & ~units)
         if sum(p[1] for p in other) > sum(p[1] for p in parts):
             parts = other
     else:

@@ -429,8 +429,6 @@ def test_closed_form_when_k_is_2_mod_3():
 def test_construct_rejects_out_of_scope():
     with pytest.raises(ConstructionError):
         construct(21)  # odd part divisible by 3
-    with pytest.raises(ConstructionError):
-        construct(40, lam=3)  # only the magnitude-4 patterns exist
 
 
 def test_report_json_schema():

@@ -12,6 +12,7 @@ from magset.numtheory import (
     factorize,
     mult_order,
     mult_order_naive,
+    power_list,
     two_adic_valuation,
 )
 
@@ -93,6 +94,16 @@ def test_mult_order_certificates_at_eightfold_scale():
 def test_mult_order_rejects_non_unit():
     with pytest.raises(ValueError):
         mult_order(3, 9)
+
+
+# -- power lists -------------------------------------------------------------
+
+def test_power_list_matches_pow():
+    for mod in (1, 2, 7, 10, 26, 97):
+        for g in (0, 1, 2, 3, mod - 1, mod + 5):
+            for count in (0, 1, 2, 13):
+                assert power_list(g, count, mod) == \
+                    [pow(g, e, mod) for e in range(count)], (g, count, mod)
 
 
 # -- coset transversals ------------------------------------------------------

@@ -16,6 +16,7 @@ from magset.search import (
     ConflictGraph,
     _Core,
     _run,
+    _solve,
     SearchCache,
     conflict_graph,
     default_cache_path,
@@ -209,6 +210,49 @@ def test_inversion_does_not_extend_to_non_units():
     assert sorted(map(flip, graph.vertices)) == list(graph.vertices)
     assert 14 in graph.neighbors[1] and flip(14) == 8
     assert 8 not in graph.neighbors[flip(1)]
+
+
+class _MirrorLog(_Core):
+    """A core that records each search's candidates and mirror, and runs none."""
+
+    def search(self, cand, best=0, first=False, mirror=None):
+        self.log.append((cand, mirror))
+
+
+def _unit_branch_mirrors(q):
+    """Each component of G - N[1] as a residue list, with whether _solve
+    gives it the mirror and whether inversion maps it onto itself."""
+    graph = conflict_graph(q)
+    verts = graph.vertices
+    index = {x: i for i, x in enumerate(verts)}
+    neigh = [sum(1 << index[y] for y in graph.neighbors[x]) for x in verts]
+    mirror = [index[pow(x, -1, q)] if math.gcd(x, q) == 1 else None
+              for x in verts]
+    units = sum(1 << index[x] for x in verts if math.gcd(x, q) == 1)
+    core = _MirrorLog(neigh, Budget(), 0.0)
+    core.log = []
+    one = 1 << index[1]
+    _solve(core, ((1 << len(verts)) - 1) & ~(neigh[index[1]] | one),
+           mirror=mirror, units=units)
+    for comp, given in core.log:
+        members = [x for i, x in enumerate(verts) if comp >> i & 1]
+        closed = all(math.gcd(x, q) == 1 and pow(x, -1, q) in members
+                     for x in members)
+        yield members, given is not None, closed
+
+
+def test_inversion_closure_is_read_off_the_lowest_vertex():
+    # a component of units gets the mirror iff the inverse of its lowest
+    # vertex lies in it; mapping every vertex gives the same answer
+    for q in range(5, 151):
+        if is_admissible(1, q):
+            for members, given, closed in _unit_branch_mirrors(q):
+                assert given == closed, (q, members[:5])
+    # q = 146: a component mixes units and non-units, and the inverse of
+    # its lowest vertex, the unit 5, lies in it; still no mirror
+    assert any(members[0] == 5 and pow(5, -1, 146) in members and not given
+               and any(math.gcd(x, 146) > 1 for x in members)
+               for members, given, _ in _unit_branch_mirrors(146))
 
 
 def _brute_alpha(neigh, cand):
