@@ -59,6 +59,20 @@ def _positive(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _rate(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 # --------------------------------------------------------------------------
 # construct
 # --------------------------------------------------------------------------
@@ -322,11 +336,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_positive, required=True, help="modulus")
     p.add_argument("--set", type=_csv_ints, required=True,
                    help="parity row: comma-separated valid set")
-    p.add_argument("--trials", type=int, required=True,
+    p.add_argument("--trials", type=_count, required=True,
                    help="number of independent trials")
     p.add_argument("--seed", type=int, default=0,
                    help="master RNG seed (default 0)")
-    p.add_argument("--error-rate", dest="error_rate", type=float, default=1.0,
+    p.add_argument("--error-rate", dest="error_rate", type=_rate, default=1.0,
                    help="per-trial corruption probability (default 1.0)")
 
     return parser

@@ -17,10 +17,19 @@ solved to cancel the parity sum.  The pivot and its inverse mod q are
 found once per code.
 
 Words may hold any entries ``int()`` accepts; each coordinate is read
-as ``int(v) % q``.  The per-word work runs in C builtins: ``map`` and
-``min``/``max`` normalise the word (reducing only when a coordinate is
-out of range) and ``sum(map(operator.mul, ...))`` forms the syndrome,
-so encode and decode cost a few passes over the word each.
+as ``int(v) % q``.  The per-word work runs in C builtins.  After a copy,
+three passes read the word: ``operator.countOf`` over the entry types
+(``int()`` runs only when some entry is not exactly an int), an
+``array("Q")`` of the word, which raises OverflowError on an entry below
+0 or at least 2**64, and ``max`` against q; the ``% q`` reduction runs
+only when an entry lies outside [0, q).  One more pass,
+``sum(map(operator.mul, ...))``, forms the syndrome.
+
+``encode`` and ``decode`` check the word and hand its residues to the
+cores ``_encode`` and ``_decode``, which work on a list already in
+[0, q).  ``simulate_channel`` draws such lists itself and calls the same
+cores, so the channel runs the decoder users run without re-reading
+every short word it draws.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -107,11 +117,16 @@ def _check_word(code: LinearCode, word: Sequence[int], name: str) -> list[int]:
 def _residues(word: Sequence[int], q: int) -> list[int]:
     """``[int(v) % q for v in word]`` in C-level passes: ``int()`` is
     skipped when every entry is exactly an int, and the reduction runs
-    only when min or max shows a coordinate outside [0, q)."""
-    out = list(word) if set(map(type, word)) <= {int} else list(map(int, word))
-    if out and (min(out) < 0 or max(out) >= q):
-        out = [v % q for v in out]
-    return out
+    only when the sign test or ``max`` shows a coordinate outside [0, q)."""
+    out = list(word)
+    if operator.countOf(map(type, out), int) != len(out):
+        out = list(map(int, out))
+    try:
+        array("Q", out)  # OverflowError on an entry < 0 or >= 2**64
+        in_range = not out or max(out) < q
+    except OverflowError:
+        in_range = False
+    return out if in_range else [v % q for v in out]
 
 
 def _parity(code: LinearCode, word: Sequence[int]) -> int:
@@ -134,11 +149,17 @@ def encode(code: LinearCode, message: Sequence[int]) -> tuple[int, ...]:
     The pivot coordinate is set to -(sum of the other terms) / b_pivot
     mod q, making the result a codeword.
     """
-    p, inv = code.pivot
+    code.pivot  # NoUnitPivotError comes before any check of the message
     if len(message) != code.length - 1:
         raise ValueError(
             f"message must have length {code.length - 1}, got {len(message)}")
-    word = _residues(message, code.q)
+    return _encode(code, _residues(message, code.q))
+
+
+def _encode(code: LinearCode, word: list[int]) -> tuple[int, ...]:
+    """``encode`` of a message given as a list of residues in [0, q),
+    which it fills in place."""
+    p, inv = code.pivot
     word.insert(p, 0)
     word[p] = -_parity(code, word) * inv % code.q
     return tuple(word)
@@ -154,7 +175,13 @@ def decode(code: LinearCode,
     the unique matching error.  Raises UnknownSyndromeError when the
     syndrome matches no single in-range error (detected, not corrected).
     """
-    y = _check_word(code, received, "received word")
+    return _decode(code, _check_word(code, received, "received word"))
+
+
+def _decode(code: LinearCode,
+            y: list[int]) -> tuple[tuple[int, ...], Optional[tuple[int, int]]]:
+    """``decode`` of a received word given as a list of residues in
+    [0, q), which it corrects in place."""
     syndrome = _parity(code, y)
     if syndrome == 0:
         return tuple(y), None
@@ -197,6 +224,12 @@ def simulate_channel(code: LinearCode, trials: int, error_rate: float = 1.0,
     counts do not depend on the stream at all: each trial injects at
     most one error of magnitude at most lam, which a valid set always
     corrects, so every trial counts as corrected.
+
+    The draws are ints already in [0, q) and of the code's lengths, so
+    the trials call the encode and decode cores ``_encode`` and
+    ``_decode`` directly: the same arithmetic as ``encode`` and
+    ``decode``, without their length checks and the three passes that
+    read each word.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -207,14 +240,14 @@ def simulate_channel(code: LinearCode, trials: int, error_rate: float = 1.0,
     rng = random.Random(seed)
     for _ in range(trials):
         message = [rng.randrange(code.q) for _ in range(m - 1)]
-        sent = encode(code, message)
+        sent = _encode(code, message)
         word = list(sent)
         if rng.random() < error_rate:
             position = rng.randrange(m)
             magnitude = rng.randint(1, code.lam)
             word[position] = (word[position] + magnitude) % code.q
         try:
-            decoded, _ = decode(code, word)
+            decoded, _ = _decode(code, word)
         except UnknownSyndromeError:
             detected += 1
             continue

@@ -253,6 +253,27 @@ def test_simulate_json_and_determinism(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "-5"), ("--trials", "2.5"), ("--error-rate", "1.5"),
+    ("--error-rate", "-0.1"), ("--error-rate", "nan"),
+    ("--error-rate", "inf")])
+def test_simulate_bad_flags_are_usage_errors(capsys, flag, value):
+    flags = {"--trials": "10", "--error-rate": "0.5", flag: value}
+    code, out, err = run(capsys, "simulate", "--q", "20", "--set", "1,9,13,17",
+                         *itertools.chain(*flags.items()))
+    assert code == 2 and out == ""
+    assert f"argument {flag}" in err
+
+
+@pytest.mark.parametrize("trials, rate", [("0", "0"), ("3", "0.0"),
+                                          ("3", "1")])
+def test_simulate_accepts_boundary_flags(capsys, trials, rate):
+    code, out, _ = run(capsys, "simulate", "--q", "20", "--set", "1,9,13,17",
+                       "--trials", trials, "--error-rate", rate)
+    assert code == 0
+    assert json.loads(out)["corrected"] == int(trials)
+
+
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

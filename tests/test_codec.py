@@ -3,9 +3,11 @@
 import itertools
 import math
 import random
+import types
 
 import pytest
 
+import magset.codec
 from golden_data import GOLDEN_SETS
 from magset.codec import (
     NoUnitPivotError,
@@ -17,6 +19,7 @@ from magset.codec import (
     pivot_index,
     simulate_channel,
 )
+from magset.constructions import construct
 
 
 @pytest.fixture(scope="module")
@@ -314,3 +317,109 @@ def test_simulate_validates_inputs(code20):
         simulate_channel(code20, -1)
     with pytest.raises(ValueError):
         simulate_channel(code20, 10, error_rate=1.5)
+
+
+class MisreadInt(int):
+    """An int subclass whose ``int()`` is not its own value."""
+
+    def __int__(self):
+        return int.__int__(self) + 7
+
+
+@pytest.fixture(scope="module")
+def code10006():
+    return make_code(construct(10006).elements, 10006)
+
+
+def _planted_entries(q):
+    entries = [True, -1, q, 2**64, 2**64 + 5, 3.7, "12", IntLike(-q - 1),
+               MisreadInt(5), MisreadInt(q - 3)]
+    try:
+        import numpy as np
+    except ImportError:
+        return entries
+    return entries + [np.int64(-q - 2), np.uint64(2**64 - 1), np.int32(q)]
+
+
+def test_long_words_with_one_planted_entry_match_per_element_formula(code10006):
+    # One odd entry in an otherwise in-range word of 2,062 or 2,063
+    # symbols, at the first, middle and last position: every check that
+    # lets a word skip int() or the reduction sees it.
+    code, q = code10006, code10006.q
+    m = code.length
+    assert m == 2063
+    rng = random.Random(10006)
+    for entry in _planted_entries(q):
+        for n in (m - 1, m):
+            for position in (0, n // 2, n - 1):
+                word = [rng.randrange(q) for _ in range(n)]
+                word[position] = entry
+                if n == m - 1:
+                    sent = encode(code, word)
+                    assert sent == _reference_encode(code, word), (entry, position)
+                    assert all(type(v) is int for v in sent)
+                    continue
+                assert is_codeword(code, word) == (sum(
+                    v * b for v, b in zip(_residues(word, q), code.elements))
+                    % q == 0)
+                want = _reference_decode(code, word)
+                if isinstance(want, int):
+                    with pytest.raises(UnknownSyndromeError) as info:
+                        decode(code, word)
+                    assert info.value.syndrome == want
+                    continue
+                got = decode(code, word)
+                assert got == want, (entry, position)
+                assert all(type(v) is int for v in got[0])
+
+
+def _reference_simulate(code, trials, error_rate, rng):
+    """The channel's trial loop through the public encode and decode;
+    returns (corrected, detected, miscorrected)."""
+    counts = [0, 0, 0]
+    for _ in range(trials):
+        message = [rng.randrange(code.q) for _ in range(code.length - 1)]
+        sent = encode(code, message)
+        word = list(sent)
+        if rng.random() < error_rate:
+            position = rng.randrange(code.length)
+            magnitude = rng.randint(1, code.lam)
+            word[position] = (word[position] + magnitude) % code.q
+        try:
+            decoded, _ = decode(code, word)
+        except UnknownSyndromeError:
+            counts[1] += 1
+            continue
+        counts[0 if decoded == sent else 2] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_SETS))
+def test_simulate_draws_and_counts_as_the_public_codec_loop(q, monkeypatch):
+    # The trials run on the encode and decode cores; the counts and the
+    # generator's final state must match a loop through encode and decode.
+    made = []
+
+    class Kept(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(magset.codec, "random", types.SimpleNamespace(Random=Kept))
+    code = make_code(GOLDEN_SETS[q], q)
+    for seed in (0, 7, 123):
+        for rate in (0.0, 0.5, 1.0):
+            stats = simulate_channel(code, 60, error_rate=rate, seed=seed)
+            reference = random.Random(seed)
+            assert (stats.corrected, stats.detected, stats.miscorrected) == (
+                _reference_simulate(code, 60, rate, reference)) == (60, 0, 0)
+            assert made[-1].getstate() == reference.getstate()
+
+
+def test_simulate_without_a_unit_pivot():
+    code = make_code({4}, 20)
+    stats = simulate_channel(code, 0, seed=3)
+    assert stats.to_json_dict() == {"trials": 0, "corrected": 0, "detected": 0,
+                                    "miscorrected": 0, "seed": 3}
+    with pytest.raises(NoUnitPivotError):
+        simulate_channel(code, 1)
