@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_positive, default=4,
                    help="magnitude bound (default 4)")
     p.add_argument("--set", type=_csv_ints, required=True,
-                   help="comma-separated residues, e.g. 1,5,8,9")
+                   help="comma-separated residues, e.g. --set=1,5,8,9")
 
     p = add("search", _cmd_search,
             "exhaustive maximum-size search for modulus q")
@@ -320,22 +320,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("encode", _cmd_encode, "encode a message word")
     p.add_argument("--q", type=_positive, required=True, help="modulus")
     p.add_argument("--set", type=_csv_ints, required=True,
-                   help="parity row: comma-separated valid set")
+                   help="parity row (a valid set), e.g. --set=1,9,13,17")
     p.add_argument("--message", type=_csv_ints, required=True,
-                   help="comma-separated message symbols (length |set| - 1)")
+                   help="comma-separated message symbols (length |set| - 1);"
+                        " a leading '-' needs the = form: --message=-1,0,0")
 
     p = add("decode", _cmd_decode, "decode/correct a received word")
     p.add_argument("--q", type=_positive, required=True, help="modulus")
     p.add_argument("--set", type=_csv_ints, required=True,
-                   help="parity row: comma-separated valid set")
+                   help="parity row (a valid set), e.g. --set=1,9,13,17")
     p.add_argument("--word", type=_csv_ints, required=True,
-                   help="received word, length |set|")
+                   help="received word, length |set|; a leading '-' needs "
+                        "the = form: --word=-11,-18,0,0")
 
     p = add("simulate", _cmd_simulate,
             "random single-error channel simulation (prints JSON stats)")
     p.add_argument("--q", type=_positive, required=True, help="modulus")
     p.add_argument("--set", type=_csv_ints, required=True,
-                   help="parity row: comma-separated valid set")
+                   help="parity row (a valid set), e.g. --set=1,9,13,17")
     p.add_argument("--trials", type=_count, required=True,
                    help="number of independent trials")
     p.add_argument("--seed", type=int, default=0,

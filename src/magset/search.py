@@ -3,8 +3,10 @@ residues for a given modulus and magnitude bound, with a witness.
 
 A set is valid exactly when it is an independent set of admissible vertices
 in the conflict graph (vertices: residues whose own products e*x mod q are
-distinct and nonzero; edges: pairs whose product sets intersect).  The
-search is a deterministic branch-and-bound maximum-independent-set solver:
+distinct and nonzero; edges: pairs whose product sets intersect), held
+as bit rows and product masks built once (``conflict_graph``), which
+every phase below reads.  The search is a deterministic branch-and-bound
+maximum-independent-set solver:
 
 * colour-ordered expansion (Tomita et al., WALCOM 2010; San Segundo et
   al., Comput. Oper. Res. 2011): each node greedily covers its candidates
@@ -74,6 +76,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .numtheory import coset_reps, mult_order, power_list
@@ -84,8 +87,6 @@ __all__ = [
     "ConflictGraph",
     "SearchResult",
     "SearchCache",
-    "syndrome_set",
-    "is_admissible",
     "conflict_graph",
     "exact_max",
     "default_cache_path",
@@ -111,56 +112,61 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def _check_params(q: int, lam: int) -> None:
-    if q < 1 or lam < 1:
-        raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
-
-
-def syndrome_set(x: int, q: int, lam: int = 4) -> frozenset[int]:
-    """The products {e*x mod q : 1 <= e <= lam}; raises ValueError unless
-    q >= 1 and lam >= 1."""
-    _check_params(q, lam)
-    return frozenset(e * x % q for e in range(1, lam + 1))
-
-
-def is_admissible(x: int, q: int, lam: int = 4) -> bool:
-    """Whether {x} alone is valid: lam distinct nonzero products (raises
-    ValueError unless q >= 1 and lam >= 1)."""
-    s = syndrome_set(x, q, lam)
-    return len(s) == lam and 0 not in s
-
-
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Admissible residues with the syndrome-collision adjacency."""
+    """The admissible residues of Z_q and their conflicts, as bitmasks.
+
+    ``vertices`` ascend, and vertex i is ``vertices[i]``.  Bit j of
+    ``rows[i]`` is set iff vertices i and j share a product; bit s of
+    ``syndromes[i]`` is set iff s is a product e*x (mod q), 1 <= e <= lam,
+    of vertex i."""
 
     q: int
     lam: int
     vertices: tuple[int, ...]
-    neighbors: dict[int, frozenset[int]]
+    rows: tuple[int, ...]
+    syndromes: tuple[int, ...]
+
+    @cached_property
+    def neighbors(self) -> dict[int, frozenset[int]]:
+        """Each vertex's neighbours as residues, read off ``rows``.  The
+        search reads ``rows``; this view stays for the bench harness,
+        whose ``bench/tracing.py`` counts the graph's edges from it."""
+        verts = self.vertices
+        return {x: frozenset(verts[j] for j in _bits(row))
+                for x, row in zip(verts, self.rows)}
 
 
 def conflict_graph(q: int, lam: int = 4) -> ConflictGraph:
-    """Build the conflict graph on Z_q.
+    """Build the conflict graph on Z_q in one pass over the residues.
 
-    Two admissible vertices conflict iff some e*x == e'*y (mod q) with
-    e, e' in [1, lam]; grouping all vertices by each product value makes
-    every product-sharing group a clique.
+    A residue x is a vertex iff its product mask (bit e*x mod q for each
+    e in [1, lam]) has lam bits and not bit 0.  Each product value s gets
+    an owner mask, the vertices with s among their products; a vertex's
+    row is the union of the owners of its products, without itself.
+    Raises ValueError unless q >= 1 and lam >= 1.
     """
-    _check_params(q, lam)
-    verts = [x for x in range(1, q) if is_admissible(x, q, lam)]
-    buckets: dict[int, list[int]] = {}
-    for x in verts:
-        for s in syndrome_set(x, q, lam):
-            buckets.setdefault(s, []).append(x)
-    nb: dict[int, set[int]] = {x: set() for x in verts}
-    for group in buckets.values():
-        for i, x in enumerate(group):
-            for y in group[i + 1:]:
-                nb[x].add(y)
-                nb[y].add(x)
-    return ConflictGraph(q, lam, tuple(verts),
-                         {x: frozenset(n) for x, n in nb.items()})
+    if q < 1 or lam < 1:
+        raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
+    verts, syn = [], []
+    for x in range(1, q):
+        mask = 0
+        for e in range(1, lam + 1):
+            mask |= 1 << e * x % q
+        if mask.bit_count() == lam and not mask & 1:
+            verts.append(x)
+            syn.append(mask)
+    owners = [0] * q
+    for i, mask in enumerate(syn):
+        for s in _bits(mask):
+            owners[s] |= 1 << i
+    rows = []
+    for i, mask in enumerate(syn):
+        row = 0
+        for s in _bits(mask):
+            row |= owners[s]
+        rows.append(row & ~(1 << i))
+    return ConflictGraph(q, lam, tuple(verts), tuple(rows), tuple(syn))
 
 
 @dataclass(frozen=True)
@@ -416,8 +422,8 @@ def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
     return parts
 
 
-def _orbit_seed(core: _Core, q: int, lam: int, index: dict[int, int],
-                syn: Sequence[int]) -> int:
+def _orbit_seed(core: _Core, graph: ConflictGraph, index: dict[int, int],
+                unit_mask: int) -> int:
     """The largest valid union of cosets uH of one cyclic subgroup H of
     the units (Z/q)^*, H among them, as a vertex mask without vertex 1.
 
@@ -429,7 +435,9 @@ def _orbit_seed(core: _Core, q: int, lam: int, index: dict[int, int],
     beat the best union so far; none runs once that union meets the
     counting bound of the vertices outside the neighbourhood of 1.
     """
-    units = [x for x in range(1, q) if math.gcd(x, q) == 1]
+    # every unit u is a vertex (scaling {1} by u keeps it valid), so
+    # unit_mask holds all of (Z/q)^*
+    q, units = graph.q, _mask_to_residues(unit_mask, graph.vertices)
     groups, done = [], set()
     for g in units:  # <g> = <g^k> for every k prime to the order of g
         if g not in done:
@@ -438,11 +446,10 @@ def _orbit_seed(core: _Core, q: int, lam: int, index: dict[int, int],
                         if math.gcd(k, len(group)) == 1)
             groups.append(group)
     groups.sort(key=len, reverse=True)  # stable: ascending generators
-    one, around = 1 << index[1], core.neigh[index[1]]
-    room = 1 + _counting_bound(((1 << len(syn)) - 1) & ~(around | one),
-                               syn, lam)
-    # every unit u is a vertex (scaling {1} by u keeps it valid), and u, v
-    # conflict iff 1 and v/u do: the units form the Cayley graph of
+    one, around = 1 << index[1], graph.rows[index[1]]
+    room = 1 + _counting_bound(((1 << len(graph.rows)) - 1) & ~(around | one),
+                               graph.syndromes, graph.lam)
+    # u, v conflict iff 1 and v/u do: the units form the Cayley graph of
     # (Z/q)^* with the connection set near
     near = {x for x in units if around >> index[x] & 1}
     best_size, best = 1, [[1]]
@@ -513,14 +520,8 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
     """The search, and whether its witness is the lex-min one (always
     False without ``lex_witness`` or after a cut-off)."""
     t0 = time.monotonic()
-    verts = graph.vertices
+    verts, neigh = graph.vertices, graph.rows
     index = {x: i for i, x in enumerate(verts)}
-    neigh = [0] * len(verts)
-    for x, ns in graph.neighbors.items():
-        m = 0
-        for y in ns:
-            m |= 1 << index[y]
-        neigh[index[x]] = m
     full = (1 << len(verts)) - 1
     core = _Core(neigh, budget, t0)
 
@@ -529,18 +530,14 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
         # the smallest vertex: {1} is a component of the first branch, and
         # on a tie that branch holds the lex-min optimum
         one = 1 << index[1]
-        syn = [0] * len(verts)
-        for x, i in index.items():
-            for e in range(1, graph.lam + 1):
-                syn[i] |= 1 << (e * x % graph.q)
-        seed = _orbit_seed(core, graph.q, graph.lam, index, syn)
         # x -> x^-1 is an automorphism of the graph on the units
         mirror = [index[pow(x, -1, graph.q)] if math.gcd(x, graph.q) == 1
                   else None for x in verts]
         units = sum(1 << i for i, w in enumerate(mirror) if w is not None)
+        seed = _orbit_seed(core, graph, index, units)
         parts = [(one, 1, one)] + _solve(
-            core, full & ~(neigh[index[1]] | one), seed, syn, graph.lam,
-            mirror, units)
+            core, full & ~(neigh[index[1]] | one), seed, graph.syndromes,
+            graph.lam, mirror, units)
         other = _solve(core, full & ~units)
         if sum(p[1] for p in other) > sum(p[1] for p in parts):
             parts = other

@@ -213,6 +213,13 @@ def test_encode(capsys):
     assert code == 0 and out.strip() == "2,2,0,0"
 
 
+def test_encode_negative_message_in_the_equals_form(capsys):
+    # README's form for a value that starts with '-'
+    code, out, _ = run(capsys, "encode", "--q", "20", "--set", "1,9,13,17",
+                       "--message=-1,0,0")
+    assert code == 0 and out == "9,19,0,0\n"
+
+
 def test_encode_invalid_set_is_domain_error(capsys):
     code, _, err = run(capsys, "encode", "--q", "20", "--set", "5",
                        "--message", "")
@@ -226,6 +233,17 @@ def test_decode_corrects(capsys):
     assert code == 0
     assert "corrected (pos 1, mag 3)" in out
     assert "codeword: 2,2,0,0" in out
+
+
+def test_decode_negative_word_in_the_equals_form(capsys):
+    # -11, -18 == 9, 2 (mod 20): the codeword 9,19,0,0 with +3 at position 1
+    code, out, _ = run(capsys, "decode", "--q", "20", "--set", "1,9,13,17",
+                       "--word=-11,-18,0,0")
+    assert code == 0
+    assert out == "corrected (pos 1, mag 3)\ncodeword: 9,19,0,0\n"
+    code, out, _ = run(capsys, "decode", "--q", "20", "--set", "1,9,13,17",
+                       "--word=-11,-1,0,0")
+    assert code == 0 and out == "no error\ncodeword: 9,19,0,0\n"
 
 
 def test_decode_clean_word(capsys):

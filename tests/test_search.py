@@ -21,26 +21,36 @@ from magset.search import (
     conflict_graph,
     default_cache_path,
     exact_max,
-    is_admissible,
-    syndrome_set,
 )
 from magset.verifier import is_b1_set
 
 
-def test_syndrome_set_and_admissibility():
-    assert syndrome_set(5, 40) == {5, 10, 15, 20}
-    assert is_admissible(1, 40)
-    assert not is_admissible(10, 40)  # 4*10 = 0 mod 40
-    assert not is_admissible(0, 40)
-
-
 def test_conflict_graph_shape():
-    graph = conflict_graph(20, 4)
-    assert all(is_admissible(v, 20) for v in graph.vertices)
-    for x in graph.vertices:
-        for y in graph.neighbors[x]:
-            assert syndrome_set(x, 20) & syndrome_set(y, 20)
-            assert x in graph.neighbors[y]
+    # vertices: residues with lam distinct nonzero products; an edge
+    # wherever two product sets meet, both ways, and nowhere else
+    for q in range(1, 61):
+        for lam in range(1, 6):
+            products = {x: {e * x % q for e in range(1, lam + 1)}
+                        for x in range(q)}
+            verts = [x for x in range(q)
+                     if len(products[x]) == lam and 0 not in products[x]]
+            graph = conflict_graph(q, lam)
+            assert graph.vertices == tuple(verts), (q, lam)
+            assert graph.syndromes == tuple(
+                sum(1 << s for s in products[x]) for x in verts), (q, lam)
+            assert graph.rows == tuple(
+                sum(1 << j for j, y in enumerate(verts)
+                    if y != x and products[x] & products[y])
+                for x in verts), (q, lam)
+            assert graph.neighbors == {
+                x: {y for y in verts if y != x and products[x] & products[y]}
+                for x in verts}, (q, lam)
+    graph = conflict_graph(40)
+    assert graph.syndromes[graph.vertices.index(5)] == \
+        sum(1 << s for s in (5, 10, 15, 20))
+    assert 1 in graph.vertices and 0 not in graph.vertices
+    assert 10 not in graph.vertices  # 4*10 = 0 mod 40
+    assert conflict_graph(1, 1).vertices == ()
 
 
 def test_search_refuses_magnitude_bounds_below_one():
@@ -55,14 +65,11 @@ def test_search_refuses_magnitude_bounds_below_one():
             is_b1_set([1], 10, lam)
 
 
-def test_syndrome_helpers_refuse_bad_parameters():
-    # is_admissible(1, 10, 0) used to answer True for an empty product set
+def test_conflict_graph_refuses_bad_parameters():
+    # an empty product set (lam = 0) would make every residue a vertex
     for q, lam in ((10, 0), (10, -3), (0, 4), (-5, 4)):
         with pytest.raises(ValueError, match=r"need q >= 1 and lam >= 1"):
-            syndrome_set(1, q, lam)
-        with pytest.raises(ValueError, match=r"need q >= 1 and lam >= 1"):
-            is_admissible(1, q, lam)
-    assert syndrome_set(3, 1, 1) == {0} and not is_admissible(3, 1, 1)
+            conflict_graph(q, lam)
 
 
 @pytest.mark.parametrize("q,size", [(2, 0), (5, 1), (20, 4), (40, 6), (44, 10)])
@@ -223,9 +230,8 @@ def _unit_branch_mirrors(q):
     """Each component of G - N[1] as a residue list, with whether _solve
     gives it the mirror and whether inversion maps it onto itself."""
     graph = conflict_graph(q)
-    verts = graph.vertices
+    verts, neigh = graph.vertices, graph.rows
     index = {x: i for i, x in enumerate(verts)}
-    neigh = [sum(1 << index[y] for y in graph.neighbors[x]) for x in verts]
     mirror = [index[pow(x, -1, q)] if math.gcd(x, q) == 1 else None
               for x in verts]
     units = sum(1 << index[x] for x in verts if math.gcd(x, q) == 1)
@@ -245,7 +251,7 @@ def test_inversion_closure_is_read_off_the_lowest_vertex():
     # a component of units gets the mirror iff the inverse of its lowest
     # vertex lies in it; mapping every vertex gives the same answer
     for q in range(5, 151):
-        if is_admissible(1, q):
+        if 1 in conflict_graph(q).vertices:
             for members, given, closed in _unit_branch_mirrors(q):
                 assert given == closed, (q, members[:5])
     # q = 146: a component mixes units and non-units, and the inverse of
@@ -399,9 +405,10 @@ def test_lexmin_witness_of_disjoint_unions_matches_brute_force():
                 for v in range(len(part)):
                     if nb >> v & 1:
                         neigh[label[offset + u]] |= 1 << label[offset + v]
-        graph = ConflictGraph(n + 1, 4, tuple(range(1, n + 1)), {
-            i + 1: frozenset(j + 1 for j in range(n) if neigh[i] >> j & 1)
-            for i in range(n)})
+        # vertex i + 1 is index i; without the unit split no product
+        # mask is read
+        graph = ConflictGraph(n + 1, 4, tuple(range(1, n + 1)),
+                              tuple(neigh), (0,) * n)
         result, lex_min = _run(graph, Budget(10**6, math.inf),
                                lex_witness=True, unit_split=False)
         expected = _brute_lexmin(neigh, (1 << n) - 1, {})
