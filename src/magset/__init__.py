@@ -29,8 +29,8 @@ from .numtheory import coset_reps, divisors, euler_phi, mult_order
 from .residues import Instance
 from .search import (Budget, SearchCache, SearchResult, conflict_graph,
                      exact_max)
-from .verifier import (Verdict, build_syndrome_table, format_witness,
-                       is_b1_set, is_b1_set_reference)
+from .verifier import (Verdict, format_witness, is_b1_set,
+                       is_b1_set_reference)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "Instance", "LinearCode", "NoUnitPivotError", "Piece", "SearchCache",
     "SearchResult", "UnknownSyndromeError", "Verdict",
     "build_divisor_piece", "build_eightfold", "build_four_times_odd",
-    "build_syndrome_table", "build_twice_odd", "conflict_graph", "construct",
+    "build_twice_odd", "conflict_graph", "construct",
     "coset_reps", "decode", "divisor_context", "divisors", "encode",
     "euler_phi", "exact_max", "format_witness", "hamming_upper_bound",
     "is_b1_set",

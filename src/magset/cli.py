@@ -12,8 +12,9 @@ decode      correct a single limited-magnitude error in a received word
 simulate    run the random single-error channel and report statistics
 
 Exit codes: 0 success, 1 domain error (invalid set, budget exhausted,
-uncorrectable word), 2 usage error (unparseable arguments, modulus whose
-odd part is divisible by 3).
+uncorrectable word) or an output pipe closed early, 2 usage error
+(unparseable arguments, modulus whose odd part is divisible by 3, an
+unwritable cache path).
 
 All output is deterministic for identical flags; search budgets given on
 the command line are node counts only (no wall-clock component), so even
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -136,8 +138,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     budget = None if args.budget is None else Budget(max_nodes=args.budget)
-    cache = SearchCache(args.cache if args.cache is not None
-                        else default_cache_path())
+    path = args.cache if args.cache is not None else default_cache_path()
+    try:  # fail before the search, not when its result is stored
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        args.parser.error(f"cache {path}: {exc.strerror}")
+    cache = SearchCache(path)
     result = exact_max(args.q, args.lam, budget=budget, cache=cache)
     if args.json:
         print(json.dumps(result.to_record(), indent=2))
@@ -352,7 +358,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # the reader left: silence the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:  # domain errors (invalid set, no pivot, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,11 +10,14 @@ is precisely the defining property of a valid set -- so a syndrome table
 lookup corrects the error.
 
 The parity row is kept in ascending element order; word positions refer
-to that order.  Encoding is systematic through a pivot coordinate: the
-first element of B (scanning ascending) that is a unit mod q; the
-message fills the remaining m-1 positions in order and the pivot is
-solved to cancel the parity sum.  The pivot and its inverse mod q are
-found once per code.
+to that order.  ``make_code`` builds the table in the pass that checks
+the set: each product e * b_j mod q maps to (e, j), so one ``dict.get``
+gives the magnitude and the position to correct.
+
+Encoding is systematic through a pivot coordinate: the first element of
+B (scanning ascending) that is a unit mod q; the message fills the
+remaining m-1 positions in order and the pivot is solved to cancel the
+parity sum.  The pivot and its inverse mod q are found once per code.
 
 Words may hold any entries ``int()`` accepts; each coordinate is read
 as ``int(v) % q``.  The per-word work runs in C builtins.  After a copy,
@@ -38,12 +41,11 @@ import math
 import operator
 import random
 from array import array
-from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .verifier import SyndromeTable, build_syndrome_table
+from .verifier import _checked, format_witness, is_b1_set
 
 __all__ = [
     "LinearCode",
@@ -82,7 +84,7 @@ class LinearCode:
     q: int
     lam: int
     elements: tuple[int, ...]  # parity row, ascending
-    table: SyndromeTable
+    table: dict[int, tuple[int, int]]  # syndrome -> (magnitude, position)
 
     @property
     def length(self) -> int:
@@ -100,11 +102,19 @@ class LinearCode:
 
 
 def make_code(elements: Iterable[int], q: int, lam: int = 4) -> LinearCode:
-    """Build the code for a valid set (raises ValueError if not valid)."""
-    row = tuple(elements)
-    table = build_syndrome_table(row, q, lam)  # validates the set
-    return LinearCode(q=q, lam=lam, elements=tuple(sorted(map(operator.index, row))),
-                      table=table)
+    """Build the code for a valid set (raises ValueError if not valid).
+
+    The set is valid exactly when its lam*|B| products land on as many
+    distinct nonzero keys, so building the table checks the set.  A
+    rejected set is swept by `is_b1_set`, whose witness the error names.
+    """
+    row = _checked(elements, q, lam)
+    table = {e * b % q: (e, i)
+             for i, b in enumerate(row) for e in range(1, lam + 1)}
+    if len(table) != lam * len(row) or 0 in table:
+        witness = is_b1_set(row, q, lam).witness
+        raise ValueError(f"not a valid set: {format_witness(witness, q)}")
+    return LinearCode(q=q, lam=lam, elements=tuple(row), table=table)
 
 
 def _check_word(code: LinearCode, word: Sequence[int], name: str) -> list[int]:
@@ -185,11 +195,10 @@ def _decode(code: LinearCode,
     syndrome = _parity(code, y)
     if syndrome == 0:
         return tuple(y), None
-    hit = code.table.lookup(syndrome)
+    hit = code.table.get(syndrome)
     if hit is None:
         raise UnknownSyndromeError(syndrome, code.q)
-    magnitude, element = hit
-    position = bisect_left(code.elements, element)  # the row is sorted
+    magnitude, position = hit
     y[position] = (y[position] - magnitude) % code.q
     return tuple(y), (position, magnitude)
 

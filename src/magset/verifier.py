@@ -1,15 +1,14 @@
 """Ground truth for the whole package: decide whether a set of residues
 has all products e*b mod q (1 <= e <= lam) pairwise distinct and nonzero,
-and build the syndrome lookup table that property guarantees.
+and name the collision when they are not.
 
 Two independent implementations are provided; `is_b1_set` (product sets
 by blocks of elements: O(lam*|B|) set work in C, plus a Python sweep of
 one block on rejection) is the default and `is_b1_set_reference` (hash
-map) exists so tests can cross-check them against each other.
-`build_syndrome_table` builds its table in one pass over the products
-and calls `is_b1_set` only to explain a rejection.  Every entry point
-sorts the input as integers; an entry that `operator.index` refuses
-raises TypeError.
+map) exists so tests can cross-check them against each other.  Every
+entry point sorts the input as integers in `_checked`, which
+`codec.make_code` shares; an entry that `operator.index` refuses raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -17,15 +16,12 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
 __all__ = [
     "Verdict",
-    "SyndromeTable",
     "is_b1_set",
     "is_b1_set_reference",
-    "build_syndrome_table",
     "format_witness",
 ]
 
@@ -137,33 +133,6 @@ def is_b1_set_reference(elements: Iterable[int], q: int, lam: int = 4) -> Verdic
                 return Verdict(False, (*seen[s], e, b))
             seen[s] = (e, b)
     return Verdict(True, None)
-
-
-@dataclass(frozen=True)
-class SyndromeTable:
-    """Injective map syndrome -> (magnitude e, element b), size lam * |B|."""
-
-    q: int
-    lam: int
-    entries: dict[int, tuple[int, int]]
-
-    def lookup(self, syndrome: int) -> Optional[tuple[int, int]]:
-        return self.entries.get(syndrome % self.q)
-
-
-def build_syndrome_table(elements: Iterable[int], q: int, lam: int = 4) -> SyndromeTable:
-    """Build the syndrome table in one O(lam*|B|) pass over the products.
-
-    The set is valid exactly when the lam*|B| products land on as many
-    distinct nonzero keys.  A rejected set is swept once more by
-    `is_b1_set`, so the ValueError names the same witness it reports.
-    """
-    elems = _checked(elements, q, lam)
-    entries = {e * b % q: (e, b) for b in elems for e in range(1, lam + 1)}
-    if len(entries) != lam * len(elems) or 0 in entries:
-        witness = is_b1_set(elems, q, lam).witness
-        raise ValueError(f"not a valid set: {format_witness(witness, q)}")
-    return SyndromeTable(q, lam, entries)
 
 
 def format_witness(witness: Optional[Witness], q: int) -> str:

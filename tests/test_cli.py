@@ -3,11 +3,15 @@
 import importlib.util
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import magset.cli
 from magset.cli import main
 from magset.constructions import construct
 
@@ -168,6 +172,29 @@ def test_search_json_output(capsys, tmp_path):
     assert record["max_size"] == 10 and record["exact"] is True
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory",
+                                   "missing directory via $MAGSET_CACHE"])
+def test_search_unwritable_cache_is_usage_error(capsys, tmp_path, monkeypatch,
+                                                where):
+    # The path is tried before the search, whose result it would lose.
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before the cache path was checked")
+
+    monkeypatch.setattr(magset.cli, "exact_max", no_search)
+    path = tmp_path if where == "directory" else tmp_path / "no" / "c.jsonl"
+    argv = ["search", "--q", "44"]
+    if where.endswith("$MAGSET_CACHE"):
+        monkeypatch.setenv("MAGSET_CACHE", str(path))
+    else:
+        argv += ["--cache", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"magset search: error: cache {path}: "
+        + ("Is a directory" if where == "directory"
+           else "No such file or directory")]
+
+
 # -- table -----------------------------------------------------------------------
 
 def test_table_rows_match_frozen_parameters(capsys):
@@ -295,3 +322,22 @@ def test_simulate_accepts_boundary_flags(capsys, trials, rate):
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+# -- output pipe -----------------------------------------------------------------
+
+def test_closed_output_pipe_exits_1_without_traceback():
+    # 320 kB of JSON: more than the pipe holds, so the writer meets the
+    # closed pipe after the reader has taken one line.
+    src = str(pathlib.Path(magset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "magset.cli", "construct", "--q", "50026",
+         "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""

@@ -81,8 +81,24 @@ def test_encode_needs_unit_pivot():
 def test_decode_example(code20):
     word, error = decode(code20, (2, 5, 0, 0))  # syndrome 47 = 7 mod 20
     assert (word, error) == ((2, 2, 0, 0), (1, 3))
-    assert code20.table.lookup(7) == (3, 9)
+    assert code20.table[7] == (3, 1)
     assert decode(code20, (2, 2, 0, 0)) == ((2, 2, 0, 0), None)
+
+
+@pytest.mark.parametrize("q", [*sorted(GOLDEN_SETS), 2 * 100003])
+def test_table_maps_each_syndrome_to_magnitude_and_position(q):
+    elements = GOLDEN_SETS[q] if q in GOLDEN_SETS else construct(q).elements
+    code = make_code(elements, q)
+    row, m = code.elements, code.length
+    assert len(code.table) == code.lam * m
+    for i, b in enumerate(row):
+        for e in range(1, code.lam + 1):
+            assert code.table[e * b % q] == (e, i)
+    for i in (0, m // 2, m - 1):
+        for e in range(1, code.lam + 1):
+            received = [0] * m
+            received[i] = e
+            assert decode(code, received) == ((0,) * m, (i, e))
 
 
 def test_decode_unknown_syndrome_is_detection(code20):

@@ -12,7 +12,6 @@ from magset.codec import make_code
 from magset.constructions import construct
 from magset.verifier import (
     _BLOCK,
-    build_syndrome_table,
     format_witness,
     is_b1_set,
     is_b1_set_reference,
@@ -88,18 +87,17 @@ def test_dual_implementations_agree_randomized():
 
 
 def test_syndrome_table_contents():
-    table = build_syndrome_table({1, 9, 13, 17}, 20)
-    assert len(table.entries) == 16
-    assert table.lookup(7) == (3, 9)
-    assert table.lookup(47) == (3, 9)  # reduced mod q
-    assert table.lookup(0) is None
-    for syndrome, (e, b) in table.entries.items():
-        assert e * b % 20 == syndrome
+    code = make_code({1, 9, 13, 17}, 20)
+    assert len(code.table) == 16
+    assert code.table[7] == (3, 1)
+    assert code.table.get(0) is None
+    for syndrome, (e, i) in code.table.items():
+        assert e * code.elements[i] % 20 == syndrome
 
 
 def test_syndrome_table_rejects_invalid():
     with pytest.raises(ValueError):
-        build_syndrome_table({1, 2}, 9)
+        make_code({1, 2}, 9)
 
 
 def test_verdicts_equal_reference_randomized():
@@ -124,7 +122,7 @@ def test_large_set_and_one_added_double():
     report = construct(q)
     elements = sorted(report.elements)
     assert is_b1_set(elements, q).valid
-    assert len(build_syndrome_table(elements, q).entries) == 4 * len(elements)
+    assert len(make_code(elements, q).table) == 4 * len(elements)
     x = next(b for b in elements if 2 * b % q not in report.elements)
     spoiled = [*elements, 2 * x % q]
     verdict = is_b1_set(spoiled, q)
@@ -132,19 +130,19 @@ def test_large_set_and_one_added_double():
     assert verdict == is_b1_set_reference(spoiled, q)
     message = f"not a valid set: {format_witness(verdict.witness, q)}"
     with pytest.raises(ValueError) as err:
-        build_syndrome_table(spoiled, q)
+        make_code(spoiled, q)
     assert str(err.value) == message
 
 
 def test_syndrome_table_empty_and_overfull_sets():
-    assert build_syndrome_table((), 7).entries == {}
+    assert make_code((), 7).table == {}
     rng = random.Random(7)
     for q in range(2, 40):
         for lam in range(1, 6):
             for size in range(-(-q // lam), q):  # every size with lam*size >= q
                 elements = rng.sample(range(1, q), size)
                 with pytest.raises(ValueError, match="not a valid set"):
-                    build_syndrome_table(elements, q, lam)
+                    make_code(elements, q, lam)
 
 
 def test_rejection_witnesses_across_blocks():
@@ -166,7 +164,7 @@ def test_rejection_witnesses_across_blocks():
         assert verdict == is_b1_set_reference(spoiled, q), extra
         message = f"not a valid set: {format_witness(verdict.witness, q)}"
         with pytest.raises(ValueError) as err:
-            build_syndrome_table(spoiled, q)
+            make_code(spoiled, q)
         assert str(err.value) == message
     assert is_b1_set([*elements, q // 2], q).witness == (2, q // 2)
 
@@ -214,8 +212,7 @@ def test_small_blocks_give_reference_witnesses(monkeypatch):
 @pytest.mark.parametrize("entry", [1.5, "3", None])
 def test_non_integer_entries_are_refused(entry):
     message = re.escape(f"element {entry!r} is not an integer")
-    for check in (is_b1_set, is_b1_set_reference, build_syndrome_table,
-                  make_code):
+    for check in (is_b1_set, is_b1_set_reference, make_code):
         with pytest.raises(TypeError, match=message):
             check([1, entry], 10)
 
@@ -226,6 +223,5 @@ def test_bool_and_numpy_entries_count_as_integers():
     np = pytest.importorskip("numpy")
     row = np.array(sorted(GOLDEN_SETS[20]), dtype=np.int64)
     assert is_b1_set(row, 20).valid and is_b1_set_reference(row, 20).valid
-    assert build_syndrome_table(row, 20) == build_syndrome_table(
-        GOLDEN_SETS[20], 20)
+    assert make_code(row, 20) == make_code(GOLDEN_SETS[20], 20)
     assert make_code(row, 20).length == len(GOLDEN_SETS[20])
