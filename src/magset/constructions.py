@@ -727,6 +727,8 @@ def construct(q: int, *,
     construction and the total size has the closed form
     (q + 3r - 7) / 7, which is checked internally.
     """
+    if q < 1:
+        raise ConstructionError(f"need q >= 1, got q={q}")
     instance = Instance.from_q(q)
     if not instance.coprime_to_six:
         raise ConstructionError(

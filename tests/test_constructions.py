@@ -431,6 +431,12 @@ def test_construct_rejects_out_of_scope():
         construct(21)  # odd part divisible by 3
 
 
+@pytest.mark.parametrize("q", [0, -8])
+def test_construct_rejects_nonpositive_modulus(q):
+    with pytest.raises(ConstructionError, match=f"^need q >= 1, got q={q}$"):
+        construct(q)
+
+
 def test_report_json_schema():
     data = construct(40).to_json_dict()
     assert list(data) == ["q", "k", "r", "lambda", "size", "upper_bound",

@@ -1,6 +1,7 @@
 """Validity checking: byte-table sweep vs reference map, witnesses, syndromes."""
 
 import bisect
+import math
 import random
 import re
 
@@ -8,10 +9,12 @@ import pytest
 
 from golden_data import GOLDEN_SETS
 from magset import verifier
+from magset.cli import main
 from magset.codec import make_code
 from magset.constructions import construct
 from magset.verifier import (
     _BLOCK,
+    _DENSE,
     format_witness,
     is_b1_set,
     is_b1_set_reference,
@@ -225,3 +228,112 @@ def test_bool_and_numpy_entries_count_as_integers():
     assert is_b1_set(row, 20).valid and is_b1_set_reference(row, 20).valid
     assert make_code(row, 20) == make_code(GOLDEN_SETS[20], 20)
     assert make_code(row, 20).length == len(GOLDEN_SETS[20])
+
+
+def _greedy_valid_set(q, lam, rng):
+    """A maximal valid set: residues in random order, each kept when its
+    lam products are distinct, nonzero and unused."""
+    used = {0}
+    kept = []
+    for x in rng.sample(range(1, q), q - 1):
+        products = {e * x % q for e in range(1, lam + 1)}
+        if len(products) == lam and used.isdisjoint(products):
+            used |= products
+            kept.append(x)
+    return sorted(kept)
+
+
+def _spoiled(elements, q, lam):
+    """Copies of a set with one residue added at its first, middle
+    and last element: 2x; y with e2*y == e1*x for e1 != e2, or with
+    e*y == e*x for y != x, so that the images of x and y meet from
+    different ranges j; and a z with e*z == 0."""
+    members = set(elements)
+    for x in (elements[0], elements[len(elements) // 2], elements[-1]):
+        extras = {2 * x % q}
+        for e1 in range(1, lam + 1):
+            for e2 in range(1, lam + 1):
+                extras.update(verifier._solutions(e2, e1 * x % q, q))
+        for y in sorted(extras - members - {0}):
+            yield sorted([*elements, y])
+    zeros = sorted({m * q // g for e in range(2, lam + 1)
+                    if (g := math.gcd(e, q)) > 1 for m in range(1, g)} - members)
+    for z in zeros[:1] + zeros[len(zeros) // 2:][:1] + zeros[-1:]:
+        yield sorted([*elements, z])
+
+
+@pytest.mark.parametrize("q", [3001, 2 * 1499, 4 * 751, 3 * 1009, 12 * 251])
+def test_dense_sets_equal_reference(q, monkeypatch):
+    # Prime q, and q divisible by 2, 3, 4 and 12, where the ranges j of
+    # one e share residue classes mod e and so take several lanes.  The
+    # sets are near-maximal (construct's where it covers q, greedy ones
+    # for every lam), their samples one element either side of the
+    # crossover, and copies spoiled at the first, middle and last
+    # element.  The lanes run exactly on the dense sets, and both they
+    # and the full Verdict agree with the reference.
+    lanes = []
+    lanes_disjoint = verifier._lanes_disjoint
+
+    def spy(ints, q, lam):
+        lanes.append(lanes_disjoint(ints, q, lam))
+        return lanes[-1]
+
+    monkeypatch.setattr(verifier, "_lanes_disjoint", spy)
+    rng = random.Random(q)
+    crossover = -(-q // _DENSE)
+    dense = accepted = 0
+    for lam in range(1, 7):
+        sources = [_greedy_valid_set(q, lam, rng)]
+        if q % 2 == 0 and q % 3:
+            sources.append(sorted(construct(q).elements))
+        for elements in sources:
+            cases = [elements, sorted(rng.sample(elements, crossover)),
+                     sorted(rng.sample(elements, crossover - 1)),
+                     *_spoiled(elements, q, lam)]
+            for case in cases:
+                del lanes[:]
+                verdict = is_b1_set(case, q, lam)
+                assert verdict == is_b1_set_reference(case, q, lam), (
+                    q, lam, case)
+                runs = q <= _DENSE * len(case)
+                assert lanes == ([verdict.valid] if runs else []), (q, lam)
+                dense += runs
+                accepted += runs and verdict.valid
+    assert accepted >= 12 and dense - accepted >= 150
+
+
+def test_sparse_sets_never_reach_the_lanes(monkeypatch, capsys):
+    # At q = 10**12 a q-byte lane cannot be allocated: the block loop
+    # alone must decide, in the library and through the CLI.
+    def refuse(ints, q, lam):
+        raise AssertionError(f"lanes ran on {len(ints)} elements mod {q}")
+
+    monkeypatch.setattr(verifier, "_lanes_disjoint", refuse)
+    q = 10**12
+    reference = is_b1_set_reference([1, 2], q)
+    assert reference == (False, (2, 1, 1, 2))
+    assert is_b1_set([1, 2], q) == reference
+    assert main(["verify", "--q", str(q), "--set", "1,2"]) == 1
+    assert capsys.readouterr().out == (
+        f"invalid: {format_witness(reference.witness, q)}\n")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([5, 1.5, 0], "element 1.5 is not an integer"),
+    ([5, 0, 40, 5], "element 0 outside [1, 39]"),
+    ([5, -3, 7, 9], "element -3 outside [1, 39]"),
+    ([5, 7, 45, 9], "element 45 outside [1, 39]"),
+    ([5, 7, 10**30], f"element {10**30} outside [1, 39]"),
+    ([5, 7, 9, 7], "elements must be distinct"),
+])
+def test_dense_input_errors_keep_their_text_and_order(bad, message):
+    # Type, then range, then distinct: the lanes refuse such input
+    # unsorted and leave the message to _checked.
+    elements = [*bad, 11, 13]
+    assert 40 <= _DENSE * len(elements)
+    error = TypeError if "integer" in message else ValueError
+    for check in (is_b1_set, is_b1_set_reference):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check(elements, 40)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check(iter(elements), 40)
