@@ -41,7 +41,7 @@ import math
 import operator
 import random
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -84,7 +84,8 @@ class LinearCode:
     q: int
     lam: int
     elements: tuple[int, ...]  # parity row, ascending
-    table: dict[int, tuple[int, int]]  # syndrome -> (magnitude, position)
+    # syndrome -> (magnitude, position); derived from the fields above
+    table: dict[int, tuple[int, int]] = field(compare=False, repr=False)
 
     @property
     def length(self) -> int:

@@ -2,17 +2,15 @@
 2-adic valuations, multiplicative orders, power lists and coset
 transversals in the unit group.
 
-Everything here is a pure function of its inputs; cached results are
-immutable and safe to share across threads.  Target scale is moduli up to
-about 10**6, where trial division is more than fast enough.  Every order
-is `mult_order`'s, every list of successive powers `power_list`'s; a
-coset transversal walks every coset but the last.
+Everything here is a pure function of its inputs.  Target scale is
+moduli up to about 10**6, where trial division is more than fast
+enough.  Every order is `mult_order`'s, every list of successive powers
+`power_list`'s; a coset transversal walks every coset but the last.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 __all__ = [
     "factorize",
@@ -26,35 +24,24 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization by trial division: ((prime, exponent), ...)
     with primes ascending (n = 1 -> empty)."""
     if n < 1:
         raise ValueError(f"factorize requires a positive integer, got {n}")
     factors: list[tuple[int, int]] = []
-    for p in _trial_primes(n):
-        if p * p > n:
-            break
+    p = 2
+    while p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             factors.append((p, e))
+        p += 1 if p == 2 else 2
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
-
-
-def _trial_primes(n: int):
-    yield 2
-    yield 3
-    p = 5
-    while p * p <= n:
-        yield p
-        yield p + 2
-        p += 6
 
 
 def divisors(n: int) -> list[int]:
@@ -65,7 +52,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient, computed from the factorization."""
     out = 1
@@ -95,7 +81,6 @@ def mult_order_naive(l: int, d: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
 def mult_order(l: int, d: int) -> int:
     """Smallest n > 0 with l**n == 1 (mod d).
 
@@ -122,7 +107,6 @@ def power_list(g: int, count: int, mod: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """Ascending coset transversal of <generators> in the units mod modulus.
 

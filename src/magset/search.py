@@ -65,8 +65,9 @@ numbers.
 Results can be persisted to an append-only JSONL cache keyed by (q, lam);
 only exactly-solved records of the default search (lex-min witness, unit
 split) whose witness phase finished are stored and reused.  The file is
-input from outside: a line is loaded only if it is a JSON object whose
-witness is a valid set of ``max_size`` elements at (q, lam).
+input from outside: a lookup reads it and checks only the records of its
+own (q, lam), serving the first whose witness is a valid set of
+``max_size`` elements at (q, lam).
 """
 
 from __future__ import annotations
@@ -197,55 +198,45 @@ def default_cache_path() -> str:
 
 
 class SearchCache:
-    """Append-only JSONL store of exactly-solved search results."""
+    """Append-only JSONL store of exactly-solved search results.
+
+    A lookup reads the file and checks only records of its own (q, lam),
+    serving the first valid one; every other line is skipped unchecked.
+    """
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._mem: dict[tuple[int, int], SearchResult] = {}
-        self._loaded = False
 
-    def _load(self) -> None:
-        if self._loaded:
-            return
-        self._loaded = True
+    def get(self, q: int, lam: int) -> Optional[SearchResult]:
         try:
             with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
                 for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
                     try:
                         rec = json.loads(line)
-                        if not isinstance(rec, dict) or not rec.get("exact"):
+                        if not (isinstance(rec, dict) and rec.get("exact")
+                                and int(rec["q"]) == q
+                                and int(rec["lambda"]) == lam):
                             continue
                         res = SearchResult(
-                            q=int(rec["q"]), lam=int(rec["lambda"]),
-                            max_size=int(rec["max_size"]),
+                            q=q, lam=lam, max_size=int(rec["max_size"]),
                             witness=tuple(int(x) for x in rec["witness"]),
                             nodes_expanded=int(rec["nodes"]),
                             elapsed=float(rec["ms"]) / 1000.0, exact=True)
                         # outside input: the check costs lam*|B|, whatever q
-                        if is_b1_set_reference(res.witness, res.q, res.lam) \
-                                and len(res.witness) == res.max_size:
-                            self._mem[(res.q, res.lam)] = res
-                    except (KeyError, TypeError, ValueError):
+                        if len(res.witness) == res.max_size \
+                                and is_b1_set_reference(res.witness, q, lam):
+                            return res
+                    except (KeyError, TypeError, ValueError, OverflowError):
                         continue  # tolerate foreign/corrupt lines
         except FileNotFoundError:
             pass
-
-    def get(self, q: int, lam: int) -> Optional[SearchResult]:
-        self._load()
-        return self._mem.get((q, lam))
+        return None
 
     def put(self, result: SearchResult) -> None:
-        if not result.exact:
-            return
-        self._load()
-        if (result.q, result.lam) in self._mem:
-            return
-        self._mem[(result.q, result.lam)] = result
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(result.to_record()) + "\n")
+        """Append an exact result; call it after `get` missed its key."""
+        if result.exact:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(result.to_record()) + "\n")
 
 
 class _Core:

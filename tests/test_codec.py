@@ -36,6 +36,15 @@ def test_make_code_sorts_row_and_validates(code20):
         make_code({1, 2}, 9)
 
 
+def test_code_hashes_and_prints_by_its_defining_fields(code20):
+    # The syndrome table is derived from (q, lam, elements): it takes no
+    # part in equality or hashing and is not printed.
+    again = make_code([17, 13, 9, 1], 20)
+    assert again == code20 and hash(again) == hash(code20)
+    assert len({code20, again, make_code([1, 9, 13, 17], 20, lam=3)}) == 2
+    assert repr(code20) == "LinearCode(q=20, lam=4, elements=(1, 9, 13, 17))"
+
+
 def test_is_codeword(code20):
     assert is_codeword(code20, (2, 2, 0, 0))  # 2 + 18 = 20 = 0
     assert is_codeword(code20, (0, 0, 0, 0))

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import magset.search
 from golden_data import GOLDEN_SIZES
 from magset.search import (
     Budget,
@@ -22,7 +23,7 @@ from magset.search import (
     default_cache_path,
     exact_max,
 )
-from magset.verifier import is_b1_set
+from magset.verifier import Verdict, is_b1_set
 
 
 def test_conflict_graph_shape():
@@ -500,6 +501,37 @@ def test_cache_skips_records_its_witness_contradicts(tmp_path):
     result = exact_max(44, cache=cache)
     assert result.max_size == 10 and len(result.witness) == 10
     assert SearchCache(str(path)).get(44, 4).max_size == 10
+
+
+def test_cache_lookup_checks_only_its_own_records(tmp_path, monkeypatch):
+    # A record of another (q, lam) is never validated: at lam = 10**9 the
+    # check alone would take lam*|B| steps.
+    path = tmp_path / "cache.jsonl"
+    foreign = {"q": 10**12, "lambda": 10**9, "max_size": 2, "witness": [1, 3],
+               "nodes": 1, "ms": 0, "exact": True}
+    path.write_text(json.dumps(foreign) + "\n"
+                    + json.dumps(exact_max(44).to_record()) + "\n")
+    seen = []
+    reference = magset.search.is_b1_set_reference
+
+    def spy(elements, q, lam=4):
+        seen.append((q, lam))
+        return reference(elements, q, lam) if lam <= 10 else Verdict(True, None)
+
+    monkeypatch.setattr(magset.search, "is_b1_set_reference", spy)
+    hit = SearchCache(str(path)).get(44, 4)
+    assert hit is not None and hit.max_size == 10
+    assert seen == [(44, 4)]
+
+
+def test_cache_skips_records_with_infinite_numbers(tmp_path):
+    # json reads Infinity as a float that int() refuses with OverflowError.
+    path = tmp_path / "cache.jsonl"
+    record = exact_max(44).to_record()
+    path.write_text('{"q": Infinity, "lambda": 4, "exact": true}\n'
+                    + json.dumps(dict(record, witness=[float("inf")])) + "\n"
+                    + json.dumps(record) + "\n")
+    assert SearchCache(str(path)).get(44, 4).witness == tuple(record["witness"])
 
 
 def test_cache_serves_only_lex_min_witnesses(tmp_path):
