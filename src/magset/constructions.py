@@ -20,11 +20,13 @@ module builds such sets of maximum known size for ``q = 2**k * r`` with
   the counting upper bound ``floor((q-1)/4)``): the layer's orbit
   pieces below at ``M = 2d``, one per divisor ``d > 1`` of ``r``.
 * ``q = 2**k r`` with ``k >= 3`` -- a recursion: a layer of
-  ``2**(k-3) * r`` new elements, all of 2-adic valuation at most 2, is
-  united with ``8 * S`` where ``S`` is a constructed set for modulus
-  ``q / 8``.  The layer holds one orbit piece of 3 per divisor ``d`` of
-  ``r`` at ``M = 2**(k-2) * d`` (see :func:`_orbit_layer`); its size is
-  exact, so the result is maximum exactly when the recursive base is.
+  ``2**(k-3) * r`` new elements is united with ``8 * S`` where ``S`` is
+  a constructed set for modulus ``q / 8``.  The layer holds one orbit
+  piece of 3 per divisor ``d`` of ``r`` at ``M = 2**(k-2) * d`` (see
+  :func:`_orbit_layer`); its size is exact, so the result is maximum
+  exactly when the recursive base is.  Its elements are odd, as are
+  those of the ``q = 4r`` set: ``alpha = a * r/d`` is odd, powers of 3
+  are odd, and the twist ``level * r`` is even.
 
 Every route ends in one assembly step that verifies the whole set
 before it is reported; a failure raises :class:`ConstructionError`
@@ -683,12 +685,14 @@ def build_eightfold(k: int, r: int,
     """Valid set for q = 2**k r from one for q/8: new layer plus 8*base.
 
     The new layer holds, for each divisor d of r, the orbit piece of
-    :func:`_orbit_layer` at M = 2**(k-2) d, with phi(M) elements, each
-    of 2-adic valuation at most 2; they total exactly 2**(k-3) * r.
-    Scaling the base set by 8 shifts all its syndromes to valuation
-    >= 3, so the union stays valid for ANY valid base set.  The layer
-    size being exact, the result is maximum precisely when the base is
-    (tight = base.tight).
+    :func:`_orbit_layer` at M = 2**(k-2) d, with phi(M) elements; they
+    total exactly 2**(k-3) * r.  Every one is odd: alpha = a * r/d is
+    odd (a is a unit mod the even M), powers of 3 are odd, and the twist
+    level * r is even.  So the layer's syndromes have 2-adic valuation
+    at most 2, while scaling the base set by 8 shifts all its syndromes
+    to valuation >= 3: the union stays valid for ANY valid base set.
+    The layer size being exact, the result is maximum precisely when the
+    base is (tight = base.tight).
     """
     if k < 3:
         raise ConstructionError(f"eightfold recursion needs k >= 3, got {k}")

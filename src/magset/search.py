@@ -5,8 +5,8 @@ A set is valid exactly when it is an independent set of admissible vertices
 in the conflict graph (vertices: residues whose own products e*x mod q are
 distinct and nonzero; edges: pairs whose product sets intersect), held
 as bit rows and product masks built once (``conflict_graph``), which
-every phase below reads.  The search is a deterministic branch-and-bound
-maximum-independent-set solver:
+every phase below reads.  Bit x of every vertex mask is residue x.  The
+search is a deterministic branch-and-bound maximum-independent-set solver:
 
 * colour-ordered expansion (Tomita et al., WALCOM 2010; San Segundo et
   al., Comput. Oper. Res. 2011): each node greedily covers its candidates
@@ -115,12 +115,13 @@ DEFAULT_BUDGET = Budget()
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """The admissible residues of Z_q and their conflicts, as bitmasks.
+    """The admissible residues of Z_q and their conflicts, as bitmasks
+    numbered by residue.
 
-    ``vertices`` ascend, and vertex i is ``vertices[i]``.  Bit j of
-    ``rows[i]`` is set iff vertices i and j share a product; bit s of
-    ``syndromes[i]`` is set iff s is a product e*x (mod q), 1 <= e <= lam,
-    of vertex i."""
+    ``vertices`` ascend.  ``rows`` and ``syndromes`` have q entries, 0 at
+    non-vertices: bit y of ``rows[x]`` is set iff vertices x and y share a
+    product; bit s of ``syndromes[x]`` is set iff s is a product e*x
+    (mod q), 1 <= e <= lam, of vertex x."""
 
     q: int
     lam: int
@@ -130,12 +131,10 @@ class ConflictGraph:
 
     @cached_property
     def neighbors(self) -> dict[int, frozenset[int]]:
-        """Each vertex's neighbours as residues, read off ``rows``.  The
-        search reads ``rows``; this view stays for the bench harness,
-        whose ``bench/tracing.py`` counts the graph's edges from it."""
-        verts = self.vertices
-        return {x: frozenset(verts[j] for j in _bits(row))
-                for x, row in zip(verts, self.rows)}
+        """Each vertex's neighbours, read off ``rows``.  The search reads
+        ``rows``; this view stays for the bench harness, whose
+        ``bench/tracing.py`` counts the graph's edges from it."""
+        return {x: frozenset(_bits(self.rows[x])) for x in self.vertices}
 
 
 def conflict_graph(q: int, lam: int = 4) -> ConflictGraph:
@@ -149,24 +148,25 @@ def conflict_graph(q: int, lam: int = 4) -> ConflictGraph:
     """
     if q < 1 or lam < 1:
         raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
-    verts, syn = [], []
+    verts, syn = [], [0] * q
     for x in range(1, q):
         mask = 0
         for e in range(1, lam + 1):
             mask |= 1 << e * x % q
         if mask.bit_count() == lam and not mask & 1:
             verts.append(x)
-            syn.append(mask)
+            syn[x] = mask
     owners = [0] * q
-    for i, mask in enumerate(syn):
-        for s in _bits(mask):
-            owners[s] |= 1 << i
-    rows = []
-    for i, mask in enumerate(syn):
+    for x in verts:
+        bit = 1 << x
+        for s in _bits(syn[x]):
+            owners[s] |= bit
+    rows = [0] * q
+    for x in verts:
         row = 0
-        for s in _bits(mask):
+        for s in _bits(syn[x]):
             row |= owners[s]
-        rows.append(row & ~(1 << i))
+        rows[x] = row & ~(1 << x)
     return ConflictGraph(q, lam, tuple(verts), tuple(rows), tuple(syn))
 
 
@@ -241,7 +241,7 @@ class SearchCache:
 
 class _Core:
     """Colour-ordered bitmask branch-and-bound over one conflict graph
-    (index space), in optimisation or decision mode."""
+    (``neigh[x]`` the row of vertex x), in optimisation or decision mode."""
 
     def __init__(self, neigh: list[int], budget: Budget, t0: float) -> None:
         self.neigh = neigh
@@ -253,10 +253,8 @@ class _Core:
         self.best_mask = 0
 
     def _tripped(self) -> bool:
-        if self.nodes >= self.budget.max_nodes:
-            self.exact = False
-        elif not self.nodes & 1023 and \
-                time.monotonic() - self.t0 > self.budget.max_seconds:
+        if self.nodes >= self.budget.max_nodes or not self.nodes & 1023 \
+                and time.monotonic() - self.t0 > self.budget.max_seconds:
             self.exact = False
         return not self.exact
 
@@ -349,12 +347,9 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _components(neigh: list[int], mask: int) -> list[int]:
-    comps = []
-    todo = mask
+    comps, todo = [], mask
     while todo:
-        seed = todo & -todo
-        comp = seed
-        frontier = seed
+        comp = frontier = todo & -todo
         while frontier:
             grown = comp
             for v in _bits(frontier):
@@ -385,12 +380,12 @@ def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
     counting bound is not searched; any other is searched for a set
     larger than that part, which it keeps when none is found.  From a
     cut-off on, the greedy set (lowest vertex first) stands in where it is
-    larger.  ``mirror`` (unit index to the index of its inverse, None on
-    non-units) breaks inversion symmetry in each component inside the
-    mask ``units`` that it maps onto itself.  cand's units must be closed
-    under inversion; then the image of such a component is a connected
-    set of cand's units, so it is the component once it holds the image
-    of the component's lowest vertex."""
+    larger.  ``mirror`` (a unit to its inverse mod q, None on non-units)
+    breaks inversion symmetry in each component inside the mask ``units``
+    that it maps onto itself.  cand's units must be closed under
+    inversion; then the image of such a component is a connected set of
+    cand's units, so it is the component once it holds the image of the
+    component's lowest vertex."""
     parts = []
     for comp in _components(core.neigh, cand):
         mask = seed & comp
@@ -413,78 +408,81 @@ def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
     return parts
 
 
-def _orbit_seed(core: _Core, graph: ConflictGraph, index: dict[int, int],
-                unit_mask: int) -> int:
+def _orbit_seed(core: _Core, graph: ConflictGraph, units: int,
+                full: int) -> int:
     """The largest valid union of cosets uH of one cyclic subgroup H of
     the units (Z/q)^*, H among them, as a vertex mask without vertex 1.
 
     Scaling by a unit keeps a set valid, so the cosets of H are valid sets
     exactly when H is, and a union of them is valid iff no two of them
-    conflict: an independent set of the quotient graph on the cosets.
-    Each distinct H other than {1} is built once, largest first.  The
-    quotient search spends from ``core``'s node budget and only has to
-    beat the best union so far; none runs once that union meets the
-    counting bound of the vertices outside the neighbourhood of 1.
+    conflict: an independent set of the quotient graph on the cosets,
+    each numbered by its least element.  Each distinct H other than {1}
+    is built once, largest first.  The quotient search spends from
+    ``core``'s node budget and only has to beat the best union so far;
+    none runs once that union meets the counting bound of the vertices
+    (``full``) outside the neighbourhood of 1.
     """
     # every unit u is a vertex (scaling {1} by u keeps it valid), so
-    # unit_mask holds all of (Z/q)^*
-    q, units = graph.q, _mask_to_residues(unit_mask, graph.vertices)
+    # units holds all of (Z/q)^*
+    q = graph.q
     groups, done = [], set()
-    for g in units:  # <g> = <g^k> for every k prime to the order of g
+    for g in _bits(units):  # <g> = <g^k> for every k prime to its order
         if g not in done:
             group = power_list(g, mult_order(g, q), q)
             done.update(x for k, x in enumerate(group)
                         if math.gcd(k, len(group)) == 1)
             groups.append(group)
     groups.sort(key=len, reverse=True)  # stable: ascending generators
-    one, around = 1 << index[1], graph.rows[index[1]]
-    room = 1 + _counting_bound(((1 << len(graph.rows)) - 1) & ~(around | one),
-                               graph.syndromes, graph.lam)
+    one, around = 1 << 1, graph.rows[1]  # one: {1}, and H by its label
+    room = 1 + _counting_bound(full & ~(around | one), graph.syndromes,
+                               graph.lam)
     # u, v conflict iff 1 and v/u do: the units form the Cayley graph of
     # (Z/q)^* with the connection set near
-    near = {x for x in units if around >> index[x] & 1}
-    best_size, best = 1, [[1]]
+    near = set(_bits(around & units))
+    best_size, best = 1, one
     for group in groups:
         h = len(group)
         if h == 1 or best_size >= room:
             break
         if not near.isdisjoint(group):
             continue  # H itself is not a valid set
-        # group[1] generates H; cosets ordered by their least elements
+        # group[1] generates H; each coset starts at its least element
         cosets = [[u * x % q for x in group]
                   for u in coset_reps((group[1],), q)]
-        label = {x: i for i, coset in enumerate(cosets) for x in coset}
+        label = {x: c[0] for c in cosets for x in c}
         # uH and vH conflict iff v/u lies in near * H
-        neigh = [sum({1 << label[c[0] * y % q] for y in near})
-                 for c in cosets]
+        neigh = [0] * q
+        mirror: list[Optional[int]] = [None] * q
+        for c in cosets:
+            neigh[c[0]] = sum({1 << label[c[0] * y % q] for y in near})
+            # uH -> u^-1 H fixes H and, near * H being inverse-closed, is
+            # an automorphism of the quotient graph
+            mirror[c[0]] = label[pow(c[0], -1, q)]
         quotient = _Core(neigh, core.budget, core.t0)
         quotient.nodes = core.nodes  # one budget: carry the count over
-        # uH -> u^-1 H fixes H and, near * H being inverse-closed, is an
-        # automorphism of the quotient graph
-        quotient.search(((1 << len(cosets)) - 2) & ~neigh[0],
-                        max(best_size // h - 1, 0),
-                        mirror=[label[pow(c[0], -1, q)] for c in cosets])
+        quotient.search(sum(1 << c[0] for c in cosets) & ~(neigh[1] | one),
+                        max(best_size // h - 1, 0), mirror=mirror)
         core.nodes, core.exact = quotient.nodes, quotient.exact
         if h * (1 + quotient.best_size) > best_size:
             best_size = h * (1 + quotient.best_size)
-            chosen = quotient.best_mask | 1
-            best = [c for i, c in enumerate(cosets) if chosen >> i & 1]
+            chosen = quotient.best_mask | one
+            best = sum(1 << x for c in cosets if chosen >> c[0] & 1
+                       for x in c)
         if not core.exact:
             break
-    return sum(1 << index[x] for coset in best for x in coset) & ~one
+    return best & ~one
 
 
 def _lexmin_witness(core: _Core, cand: int, target: int,
                     known: int) -> tuple[int, bool]:
     """Smallest optimum of one component in sorted-tuple order: fix its
     vertices ascending, each confirmed by a feasibility search over the
-    larger indices of the component, run on ``core`` so that it spends
+    larger vertices of the component, run on ``core`` so that it spends
     from the same node budget.  ``known`` is an optimum of the component
     (the proof's); it stays a completion of the fixed vertices inside
     cand, so a vertex in it is fixed without a search.  Returns (mask,
     whether it finished)."""
-    chosen_mask = 0
-    chosen = 0
+    chosen_mask = chosen = 0
     while chosen < target:
         low = cand & -cand
         sub = cand & ~(core.neigh[low.bit_length() - 1] | low)
@@ -502,32 +500,26 @@ def _lexmin_witness(core: _Core, cand: int, target: int,
     return chosen_mask, True
 
 
-def _mask_to_residues(mask: int, verts: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(verts[v] for v in _bits(mask))  # verts ascend
-
-
 def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
          unit_split: bool) -> tuple[SearchResult, bool]:
     """The search, and whether its witness is the lex-min one (always
     False without ``lex_witness`` or after a cut-off)."""
     t0 = time.monotonic()
-    verts, neigh = graph.vertices, graph.rows
-    index = {x: i for i, x in enumerate(verts)}
-    full = (1 << len(verts)) - 1
+    q, neigh = graph.q, graph.rows
+    full, one = sum(1 << x for x in graph.vertices), 1 << 1  # one: {1}
     core = _Core(neigh, budget, t0)
 
-    if unit_split and 1 in index:
+    if unit_split and full & one:
         # any optimum containing a unit scales to one containing vertex 1,
         # the smallest vertex: {1} is a component of the first branch, and
         # on a tie that branch holds the lex-min optimum
-        one = 1 << index[1]
         # x -> x^-1 is an automorphism of the graph on the units
-        mirror = [index[pow(x, -1, graph.q)] if math.gcd(x, graph.q) == 1
-                  else None for x in verts]
-        units = sum(1 << i for i, w in enumerate(mirror) if w is not None)
-        seed = _orbit_seed(core, graph, index, units)
+        mirror = [pow(x, -1, q) if math.gcd(x, q) == 1 else None
+                  for x in range(q)]
+        units = sum(1 << x for x, w in enumerate(mirror) if w is not None)
+        seed = _orbit_seed(core, graph, units, full)
         parts = [(one, 1, one)] + _solve(
-            core, full & ~(neigh[index[1]] | one), seed, graph.syndromes,
+            core, full & ~(neigh[1] | one), seed, graph.syndromes,
             graph.lam, mirror, units)
         other = _solve(core, full & ~units)
         if sum(p[1] for p in other) > sum(p[1] for p in parts):
@@ -536,11 +528,8 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
         parts = _solve(core, full)
 
     best_size = sum(p[1] for p in parts)
-    best_mask = 0
-    for _, _, opt in parts:
-        best_mask |= opt
-    nodes = core.nodes
-    exact = core.exact
+    best_mask = sum(p[2] for p in parts)  # of disjoint components
+    nodes, exact = core.nodes, core.exact
     # the lex-min optimum of a disjoint union is the union of the
     # components' lex-min optima
     lex_min = exact and lex_witness
@@ -553,9 +542,8 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
             lex_mask |= mask
         else:
             best_mask = lex_mask
-    witness = _mask_to_residues(best_mask, verts)
-    return SearchResult(graph.q, graph.lam, best_size, witness, nodes,
-                        time.monotonic() - t0, exact), lex_min
+    return SearchResult(q, graph.lam, best_size, tuple(_bits(best_mask)),
+                        nodes, time.monotonic() - t0, exact), lex_min
 
 
 def exact_max(q: int, lam: int = 4, budget: Optional[Budget] = None,

@@ -414,6 +414,20 @@ def test_eightfold_route_and_base_nesting():
         "layer-odd-order", "layer-matched-orders", "layer-doubled-order"}
 
 
+def test_layer_pieces_hold_odd_residues():
+    # The layer of every sweep modulus with k >= 2 (the q = 4r set, or the
+    # new layer beside 8 * base) is odd: alpha = a * r/d is odd, so are the
+    # powers of 3, and the twist level * r is even.  It has r - 1 elements
+    # at k = 2 and 2^(k-3) * r above.  The base chain is not checked here.
+    for q in SWEEP:
+        k = two_adic_valuation(q)
+        if k >= 2:
+            r = q >> k
+            layer = [x for p in construct(q).pieces for x in p.elements]
+            assert all(x % 2 for x in layer), q
+            assert len(layer) == (r - 1 if k == 2 else 2 ** (k - 3) * r), q
+
+
 def test_eightfold_validates_base():
     with pytest.raises(ConstructionError):
         build_eightfold(3, 5, construct(20))  # base modulus must be q/8

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import time
+import types
 
 import pytest
 
@@ -37,20 +38,22 @@ def test_conflict_graph_shape():
                      if len(products[x]) == lam and 0 not in products[x]]
             graph = conflict_graph(q, lam)
             assert graph.vertices == tuple(verts), (q, lam)
+            # numbered by residue: bit y is residue y, 0 at non-vertices
             assert graph.syndromes == tuple(
-                sum(1 << s for s in products[x]) for x in verts), (q, lam)
+                sum(1 << s for s in products[x]) if x in verts else 0
+                for x in range(q)), (q, lam)
             assert graph.rows == tuple(
-                sum(1 << j for j, y in enumerate(verts)
+                sum(1 << y for y in verts
                     if y != x and products[x] & products[y])
-                for x in verts), (q, lam)
+                if x in verts else 0 for x in range(q)), (q, lam)
             assert graph.neighbors == {
                 x: {y for y in verts if y != x and products[x] & products[y]}
                 for x in verts}, (q, lam)
     graph = conflict_graph(40)
-    assert graph.syndromes[graph.vertices.index(5)] == \
-        sum(1 << s for s in (5, 10, 15, 20))
+    assert graph.syndromes[5] == sum(1 << s for s in (5, 10, 15, 20))
     assert 1 in graph.vertices and 0 not in graph.vertices
     assert 10 not in graph.vertices  # 4*10 = 0 mod 40
+    assert graph.rows[10] == graph.syndromes[10] == 0
     assert conflict_graph(1, 1).vertices == ()
 
 
@@ -232,17 +235,15 @@ def _unit_branch_mirrors(q):
     gives it the mirror and whether inversion maps it onto itself."""
     graph = conflict_graph(q)
     verts, neigh = graph.vertices, graph.rows
-    index = {x: i for i, x in enumerate(verts)}
-    mirror = [index[pow(x, -1, q)] if math.gcd(x, q) == 1 else None
-              for x in verts]
-    units = sum(1 << index[x] for x in verts if math.gcd(x, q) == 1)
+    mirror = [pow(x, -1, q) if math.gcd(x, q) == 1 else None
+              for x in range(q)]
+    units = sum(1 << x for x in verts if math.gcd(x, q) == 1)
     core = _MirrorLog(neigh, Budget(), 0.0)
     core.log = []
-    one = 1 << index[1]
-    _solve(core, ((1 << len(verts)) - 1) & ~(neigh[index[1]] | one),
+    _solve(core, sum(1 << x for x in verts) & ~(neigh[1] | 2),
            mirror=mirror, units=units)
     for comp, given in core.log:
-        members = [x for i, x in enumerate(verts) if comp >> i & 1]
+        members = [x for x in verts if comp >> x & 1]
         closed = all(math.gcd(x, q) == 1 and pow(x, -1, q) in members
                      for x in members)
         yield members, given is not None, closed
@@ -406,16 +407,34 @@ def test_lexmin_witness_of_disjoint_unions_matches_brute_force():
                 for v in range(len(part)):
                     if nb >> v & 1:
                         neigh[label[offset + u]] |= 1 << label[offset + v]
-        # vertex i + 1 is index i; without the unit split no product
-        # mask is read
+        # generated vertex v is residue v + 1, so its row shifts by one
+        # bit; without the unit split no product mask is read
         graph = ConflictGraph(n + 1, 4, tuple(range(1, n + 1)),
-                              tuple(neigh), (0,) * n)
+                              (0,) + tuple(row << 1 for row in neigh),
+                              (0,) * (n + 1))
         result, lex_min = _run(graph, Budget(10**6, math.inf),
                                lex_witness=True, unit_split=False)
         expected = _brute_lexmin(neigh, (1 << n) - 1, {})
         assert result.exact and lex_min
         assert result.max_size == len(expected)
         assert result.witness == tuple(v + 1 for v in expected), (a, b)
+
+
+def test_non_unit_branch_wins_when_it_is_larger():
+    # No real modulus below 90 (lam <= 6) has the branch over the
+    # non-units beat the branch through 1, so a graph at q = 9 is made
+    # for it: vertex 1 meets every other vertex, the units form a clique
+    # and meet every non-unit, and the non-units 3 and 6 are
+    # independent.  The optimum {3, 6} lies in the non-unit branch.
+    units = {1, 2, 4, 5, 7, 8}
+    rows = [0] + [sum(1 << y for y in range(1, 9)
+                      if y != x and (x in units or y in units))
+                  for x in range(1, 9)]
+    graph = ConflictGraph(9, 4, tuple(range(1, 9)), tuple(rows), (0,) * 9)
+    assert _brute_lexmin(rows, sum(1 << x for x in range(1, 9)), {}) == (3, 6)
+    result, lex_min = _run(graph, Budget(10**4, math.inf), True, True)
+    assert result.exact and lex_min
+    assert (result.max_size, result.witness) == (2, (3, 6))
 
 
 def test_default_budget_counts_nodes_only(monkeypatch):
@@ -427,6 +446,23 @@ def test_default_budget_counts_nodes_only(monkeypatch):
     monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
     result = exact_max(44)
     assert result.exact and result.max_size == 10
+
+
+def test_clock_cuts_the_search_off(tmp_path, monkeypatch):
+    # Budget.max_seconds trips the search on the clock alone: with a clock
+    # that runs 1 s per reading, a 0.5 s budget stops q = 101 at its first
+    # node check, far below the node budget.  The result is a valid lower
+    # bound, and the cache stays unwritten.
+    ticks = itertools.count(0.0, 1.0)
+    monkeypatch.setattr(magset.search, "time",
+                        types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    path = tmp_path / "cache.jsonl"
+    result = exact_max(101, budget=Budget(10**8, 0.5),
+                       cache=SearchCache(str(path)))
+    assert not result.exact and result.nodes_expanded == 0
+    assert len(result.witness) == result.max_size > 0
+    assert is_b1_set(result.witness, 101).valid
+    assert not path.exists()
 
 
 def test_budget_is_hashable_value_object():
