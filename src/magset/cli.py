@@ -80,13 +80,13 @@ def _rate(text: str) -> float:
 # --------------------------------------------------------------------------
 
 def _report_json(report) -> str:
-    """``json.dumps(report.to_json_dict(), indent=2)``, with the element
-    lists joined by ``str.join``: json's indenting encoder is pure Python."""
+    """``json.dumps(report.to_json_dict(), indent=2)``, each element list
+    rendered by json's C encoder: its indenting encoder is pure Python."""
     data, texts = report.to_json_dict(), []
     for holder, pad in [(data, "\n  "), *((p, "\n      ") for p in data["pieces"])]:
         items, holder["elements"] = holder["elements"], "\0"
-        texts.append(f"[{pad}  " + f",{pad}  ".join(map(str, items)) + f"{pad}]"
-                     if items else "[]")
+        body = json.dumps(items, separators=(f",{pad}  ", ":"))[1:-1]
+        texts.append(f"[{pad}  {body}{pad}]" if items else "[]")
     parts = json.dumps(data, indent=2).split('"\\u0000"')
     return "".join(part + text for part, text in zip(parts, texts + [""]))
 

@@ -133,19 +133,22 @@ def divisor_context(d: int) -> DivisorContext:
     """Compute the orbit parameters that select a pattern for divisor d.
 
     n is the order of 3 mod 2d (also mod d, as 3 is odd); ``powers`` is
-    the orbit of 3 mod 2d, and the map from residue mod d to exponent is
-    built from it.  Family A's s is the exponent of 2, family B's t is the
-    first power of 2 that lands in the orbit and its s the exponent of
-    that power's inverse.
+    the orbit of 3 mod 2d.  Its members are odd, so 3**e == y (mod d)
+    exactly when it holds y's odd lift, y or y + d.  b = d + 2 lifts 2 and
+    b**t mod 2d lifts 2**t; t is the first power that lands in the orbit:
+    t = 1 in family A, whose s is the index of b, and family B's s is that
+    of b**-t.  The list scans take at most t * n <= phi(d) comparisons.
     """
     if d < 5 or math.gcd(d, 6) != 1:
         raise ConstructionError(
             f"divisor contexts exist for d >= 5 with gcd(d, 6) = 1, got d={d}")
     n = mult_order(3, 2 * d)
     powers = power_list(3, n, 2 * d)
-    log = dict(zip([p % d for p in powers], range(n)))  # 3**e mod d -> e
-    s_two = log.get(2)
-    if s_two is not None:
+    t, b, b_t = 1, d + 2, d + 2
+    while b_t not in powers:
+        t, b_t = t + 1, b_t * b % (2 * d)
+    if t == 1:
+        s_two = powers.index(b)
         m = min(s_two, n - s_two)
         k_prime = n // (2 * m)
         ctx = DivisorContext(d=d, n=n, two_in_three=True, s=s_two,
@@ -153,12 +156,8 @@ def divisor_context(d: int) -> DivisorContext:
                              k_prime=k_prime, r_prime=n - 2 * k_prime * m,
                              powers=tuple(powers))
     else:
-        t, two_t = 1, 2
-        while two_t not in log:
-            t, two_t = t + 1, two_t * 2 % d
-        b = d + 2  # odd representative of 2 modulo d
         ctx = DivisorContext(d=d, n=n, two_in_three=False,
-                             s=log[pow(two_t, -1, d)],
+                             s=powers.index(pow(b_t, -1, 2 * d)),
                              reps=coset_reps((3, b), 2 * d), t=t, b=b,
                              powers=tuple(powers))
     if len(ctx.reps) * (ctx.t or 1) * n != euler_phi(d):
@@ -631,7 +630,8 @@ def _orbit_layer(q: int, level: int, r: int, d: int) -> tuple[int, frozenset[int
     The order n' of 3 mod 2M is n or 2n, told apart by one power: M is
     even, so x == 1 (mod M) gives x**2 == 1 (mod 2M), and n | n' | 2n;
     n' = n exactly when 3**n == 1 (mod 2M).  Each case gives n elements
-    per coset, phi(M) in all, which is checked.
+    per coset, phi(M) in all, which is checked.  Both kinds are built
+    from the powers 9**i: 3**(2i+1) * beta is 9**i * (3 * beta mod q).
     """
     modulus = level * d
     n = mult_order(3, modulus)
@@ -642,14 +642,13 @@ def _orbit_layer(q: int, level: int, r: int, d: int) -> tuple[int, frozenset[int
     else:
         case, evens, twist, odd_from = 2, n // 2, 0, n // 2
     odds = n - evens
-    powers = power_list(3, 2 * max(evens, odd_from + odds), q)
-    even_powers = powers[0:2 * evens:2]
-    odd_powers = powers[2 * odd_from + 1:2 * (odd_from + odds):2]
+    nines = power_list(9, max(evens, odd_from + odds), q)
+    even_powers, odd_nines = nines[:evens], nines[odd_from:odd_from + odds]
     scale = r // d
     alphas = [a * scale % q for a in coset_reps((3,), modulus)]
+    betas = [3 * (alpha + twist) % q for alpha in alphas]
     elements = frozenset([p * alpha % q for alpha in alphas for p in even_powers]
-                         + [p * (alpha + twist) % q for alpha in alphas
-                            for p in odd_powers])
+                         + [p * beta % q for beta in betas for p in odd_nines])
     if len(elements) != euler_phi(modulus):
         raise ConstructionError(f"piece of d={d} at q={q} has "
                                 f"{len(elements)} elements, not phi({modulus})")

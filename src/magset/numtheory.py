@@ -3,9 +3,9 @@
 transversals in the unit group.
 
 Everything here is a pure function of its inputs.  Target scale is
-moduli up to about 10**6, where trial division is more than fast
-enough.  Every order is `mult_order`'s, every list of successive powers
-`power_list`'s; a coset transversal walks every coset but the last.
+moduli up to about 10**6, where trial division is fast enough.  Every
+order is `mult_order`'s, every list of successive powers `power_list`'s;
+a coset transversal walks every coset but the last, as cycles x -> x * g.
 """
 
 from __future__ import annotations
@@ -111,10 +111,11 @@ def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """Ascending coset transversal of <generators> in the units mod modulus.
 
     Non-units are struck out by one slice per prime of the modulus.  Each
-    representative is the smallest unit left (`bytearray.find`: 1 first);
-    walking the generators from it covers its coset.  The walk stops at
-    phi/|H| representatives, |H| the order of a lone generator or else
-    the first coset's size: the last coset is never walked.
+    representative is the smallest unit left (`bytearray.find`: 1 first).
+    Its coset is walked as cycles x -> x * g of the first generator g: one
+    from the representative, one from each start times a later generator.
+    The walk stops at phi/|H| representatives, |H| the order of a lone
+    generator or else the first coset's size: the last is never walked.
     """
     for g in generators:
         if math.gcd(g, modulus) != 1:
@@ -126,17 +127,15 @@ def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
         covered[::p] = b"\x01" * len(range(0, modulus, p))
     units = euler_phi(modulus)
     size = mult_order(generators[0], modulus) if len(generators) == 1 else 0
-    reps = [1]
+    reps, g, others = [1], generators[0], generators[1:]
     while len(reps) * size < units:
-        covered[reps[-1]] = 1
-        coset = [reps[-1]]
-        for x in coset:  # also visits what the loop appends
-            for g in generators:
-                y = x * g % modulus
-                if not covered[y]:
-                    covered[y] = 1
-                    coset.append(y)
-        size = size or len(coset)
+        starts = [reps[-1]]
+        for x in starts:  # also visits what the loop appends
+            if others and not covered[x]:  # a cycle not yet walked
+                starts += [x * h % modulus for h in others]
+            while not covered[x]:
+                covered[x], x = 1, x * g % modulus
+        size = size or covered.count(1) - (modulus - units)
         if len(reps) * size < units:
             reps.append(covered.find(0, reps[-1] + 1))
     return tuple(reps)

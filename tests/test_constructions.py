@@ -21,6 +21,7 @@ from magset.constructions import (
     _domain_wall_exponents,
     _grid_cells,
     _orbit_exponents,
+    _orbit_layer,
     build_divisor_piece,
     build_eightfold,
     build_four_times_odd,
@@ -29,7 +30,13 @@ from magset.constructions import (
     divisor_context,
     hamming_upper_bound,
 )
-from magset.numtheory import euler_phi, mult_order_naive, two_adic_valuation
+from magset.numtheory import (
+    coset_reps,
+    divisors,
+    euler_phi,
+    mult_order_naive,
+    two_adic_valuation,
+)
 from magset.residues import Instance
 from magset.search import exact_max
 from magset.verifier import is_b1_set, is_b1_set_reference
@@ -426,6 +433,45 @@ def test_layer_pieces_hold_odd_residues():
             layer = [x for p in construct(q).pieces for x in p.elements]
             assert all(x % 2 for x in layer), q
             assert len(layer) == (r - 1 if k == 2 else 2 ** (k - 3) * r), q
+
+
+def orbit_piece_by_definition(q, level, r, d):
+    """_orbit_layer's docstring read literally: (case, elements) with each
+    power of 3 taken by pow."""
+    modulus = level * d
+    n = mult_order_naive(3, modulus)
+    alphas = [a * (r // d) % q for a in coset_reps((3,), modulus)]
+    evens = {pow(3, 2 * i, q) * alpha % q for alpha in alphas
+             for i in range(n if n % 2 else n // 2)}
+    if n % 2:
+        return 0, evens
+    if pow(3, n, 2 * modulus) == 1:
+        return 1, evens | {pow(3, 2 * i + 1, q) * (alpha + level * r) % q
+                           for alpha in alphas for i in range(n // 2)}
+    return 2, evens | {pow(3, 2 * i + 1, q) * alpha % q
+                       for alpha in alphas for i in range(n // 2, n)}
+
+
+def test_orbit_layer_matches_its_definition():
+    # Levels 2 (q = 4r) and 4, 8, 16 (the layers of q = 2^k r, k = 4, 5,
+    # 6) at every divisor of the small r: all three cases occur.
+    seen = set()
+    for level in (2, 4, 8, 16):
+        for r in (r for r in range(1, 60) if math.gcd(r, 6) == 1):
+            q = 2 * level * r
+            for d in divisors(r):
+                where = f"level {level}, r {r}, d {d} (q = {q})"
+                try:  # its own size check trips on a piece that collapses
+                    case, elements = _orbit_layer(q, level, r, d)
+                except ConstructionError as error:
+                    pytest.fail(f"{where}: {error}")
+                want_case, want = orbit_piece_by_definition(q, level, r, d)
+                assert case == want_case, f"{where}: case {case}, not {want_case}"
+                assert elements == want, (
+                    f"{where}, case {case}: missing {sorted(want - elements)[:6]}, "
+                    f"extra {sorted(elements - want)[:6]}")
+                seen.add(case)
+    assert seen == {0, 1, 2}
 
 
 def test_eightfold_validates_base():

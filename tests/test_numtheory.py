@@ -193,6 +193,17 @@ def test_coset_reps_match_brute_force_below_1500():
                 subgroup, modulus), d
 
 
+def test_coset_reps_of_every_single_generator():
+    # Any unit generates the subgroup the orbit seed of the exact search
+    # takes cosets of, so every g is checked, not only 3; the moduli
+    # include multiples of 3 and powers of 2.
+    for modulus in range(2, 251):
+        for g in range(1, modulus):
+            if math.gcd(g, modulus) == 1:
+                assert coset_reps((g,), modulus) == brute_transversal(
+                    (g,), modulus), (g, modulus)
+
+
 def test_coset_reps_single_coset_walks_nothing():
     # 3 generates every unit mod 2 * 25013, so the transversal is found
     # from the order of 3 alone.
