@@ -51,7 +51,7 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 
 def _csv(values: Sequence[int]) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join([str(v) for v in values])
 
 
 def _positive(text: str) -> int:

@@ -21,11 +21,16 @@ search is a deterministic branch-and-bound maximum-independent-set solver:
   the optimum is max(1 + best excluding the closed neighborhood of vertex
   1, best over non-unit vertices only), and on a tie the branch through
   vertex 1, the smallest vertex, holds the lexicographically smallest
-  optimum;
+  optimum.  So the non-units are first searched, all at once, only for
+  a set larger than the branch through 1 (one node when their clique
+  cover has no more classes than its size), and solved per component
+  only if one is found or that search is cut off;
 * an orbit seed for the branch through vertex 1: for each cyclic
-  subgroup H of the units, largest first, the largest valid union of
-  cosets uH that contains H, found by the same expansion on the quotient
-  graph of the cosets; the best union is the branch's starting set;
+  subgroup H of the units, listed once by the running products of its
+  least generator, largest first, the largest valid union of cosets uH
+  that contains H, found by the same expansion on the quotient graph of
+  the cosets, which one array per H labels by their least elements; the
+  best union is the branch's starting set;
 * a counting-bound skip: a component where the seed holds
   floor(distinct syndromes of the component / lam) vertices is solved
   by the seed, as no valid set inside it is larger, and is not searched;
@@ -49,9 +54,12 @@ search is a deterministic branch-and-bound maximum-independent-set solver:
   witness inside each component of the winning branch as that
   component's lexicographically smallest optimum (the union of these is
   the smallest optimum overall), fixing vertices ascending; a vertex of
-  the last optimum found (at first the proof's) is fixed at once, any
-  other is confirmed by the same expansion in decision mode, with the
-  best preset to one below the size needed.
+  the last optimum found (at first the proof's) is fixed at once; for
+  any other, that optimum's members that miss it are first grown
+  greedily (lowest vertex first) among the vertices left, and only when
+  this repaired set falls short is the vertex confirmed by the same
+  expansion in decision mode, with the best preset to one below the size
+  needed.
 
 There is one entry point, over all of Z_q: the part of the lex-min
 witness inside a union of components is that union's lex-min optimum.
@@ -80,7 +88,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .numtheory import coset_reps, mult_order, power_list
 from .verifier import is_b1_set_reference
 
 __all__ = [
@@ -143,28 +150,31 @@ def conflict_graph(q: int, lam: int = 4) -> ConflictGraph:
     A residue x is a vertex iff its product mask (bit e*x mod q for each
     e in [1, lam]) has lam bits and not bit 0.  Each product value s gets
     an owner mask, the vertices with s among their products; a vertex's
-    row is the union of the owners of its products, without itself.
+    row is the union of the owners of its products, without itself.  A
+    vertex's product list is computed once and read for all three.
     Raises ValueError unless q >= 1 and lam >= 1.
     """
     if q < 1 or lam < 1:
         raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
-    verts, syn = [], [0] * q
+    verts, syn, products = [], [0] * q, []
     for x in range(1, q):
+        prods = [y % q for y in range(x, (lam + 1) * x, x)]
         mask = 0
-        for e in range(1, lam + 1):
-            mask |= 1 << e * x % q
+        for s in prods:
+            mask |= 1 << s
         if mask.bit_count() == lam and not mask & 1:
             verts.append(x)
             syn[x] = mask
+            products.append(prods)
     owners = [0] * q
-    for x in verts:
+    for x, prods in zip(verts, products):
         bit = 1 << x
-        for s in _bits(syn[x]):
+        for s in prods:
             owners[s] |= bit
     rows = [0] * q
-    for x in verts:
+    for x, prods in zip(verts, products):
         row = 0
-        for s in _bits(syn[x]):
+        for s in prods:
             row |= owners[s]
         rows[x] = row & ~(1 << x)
     return ConflictGraph(q, lam, tuple(verts), tuple(rows), tuple(syn))
@@ -346,6 +356,20 @@ def _bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
+def _fill(neigh: Sequence[int], chosen: int, inside: int, need: int) -> int:
+    """The independent set ``chosen`` (inside ``inside``) grown greedily
+    inside ``inside``, lowest vertex first, until it has ``need`` members
+    or no vertex is left that misses all of them."""
+    free = inside & ~chosen
+    for v in _bits(chosen):
+        free &= ~neigh[v]
+    while free and chosen.bit_count() < need:
+        low = free & -free
+        chosen |= low
+        free &= ~(neigh[low.bit_length() - 1] | low)
+    return chosen
+
+
 def _components(neigh: list[int], mask: int) -> list[int]:
     comps, todo = [], mask
     while todo:
@@ -397,18 +421,16 @@ def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
             core.search(comp, size, mirror=mirror if closed else None)
             if core.best_size > size:
                 size, mask = core.best_size, core.best_mask
-        greedy, rest = 0, comp
-        while rest and not core.exact:
-            low = rest & -rest
-            greedy |= low
-            rest &= ~(core.neigh[low.bit_length() - 1] | low)
-        if greedy.bit_count() > size:
-            size, mask = greedy.bit_count(), greedy
+        if not core.exact:
+            greedy = _fill(core.neigh, 0, comp, comp.bit_count())
+            if greedy.bit_count() > size:
+                size, mask = greedy.bit_count(), greedy
         parts.append((comp, size, mask))
     return parts
 
 
-def _orbit_seed(core: _Core, graph: ConflictGraph, units: int,
+def _orbit_seed(core: _Core, graph: ConflictGraph,
+                inverse: Sequence[Optional[int]], units: int,
                 full: int) -> int:
     """The largest valid union of cosets uH of one cyclic subgroup H of
     the units (Z/q)^*, H among them, as a vertex mask without vertex 1.
@@ -417,20 +439,29 @@ def _orbit_seed(core: _Core, graph: ConflictGraph, units: int,
     exactly when H is, and a union of them is valid iff no two of them
     conflict: an independent set of the quotient graph on the cosets,
     each numbered by its least element.  Each distinct H other than {1}
-    is built once, largest first.  The quotient search spends from
-    ``core``'s node budget and only has to beat the best union so far;
-    none runs once that union meets the counting bound of the vertices
-    (``full``) outside the neighbourhood of 1.
+    is listed once, by the running products of its least generator,
+    largest first.  One array per searched H labels each unit with its
+    coset; ``inverse`` (x to x^-1 mod q, None on non-units) gives the
+    quotient's mirror.  The quotient search spends from ``core``'s node
+    budget and only has to beat the best union so far; none runs once
+    that union meets the counting bound of the vertices (``full``)
+    outside the neighbourhood of 1.
     """
     # every unit u is a vertex (scaling {1} by u keeps it valid), so
     # units holds all of (Z/q)^*
     q = graph.q
-    groups, done = [], set()
-    for g in _bits(units):  # <g> = <g^k> for every k prime to its order
-        if g not in done:
-            group = power_list(g, mult_order(g, q), q)
-            done.update(x for k, x in enumerate(group)
-                        if math.gcd(k, len(group)) == 1)
+    ascending = list(_bits(units))
+    groups, done = [], bytearray(q)
+    for g in ascending:  # <g> = <g^k> for every k prime to its order
+        if not done[g]:
+            group, x = [1], g
+            while x != 1:
+                group.append(x)
+                x = x * g % q
+            h = len(group)
+            for k in range(1, h):
+                if math.gcd(k, h) == 1:
+                    done[group[k]] = 1
             groups.append(group)
     groups.sort(key=len, reverse=True)  # stable: ascending generators
     one, around = 1 << 1, graph.rows[1]  # one: {1}, and H by its label
@@ -446,28 +477,32 @@ def _orbit_seed(core: _Core, graph: ConflictGraph, units: int,
             break
         if not near.isdisjoint(group):
             continue  # H itself is not a valid set
-        # group[1] generates H; each coset starts at its least element
-        cosets = [[u * x % q for x in group]
-                  for u in coset_reps((group[1],), q)]
-        label = {x: c[0] for c in cosets for x in c}
-        # uH and vH conflict iff v/u lies in near * H
+        # label[x]: the least element of xH, its first unit met ascending
+        label, reps = [0] * q, []
+        for u in ascending:
+            if not label[u]:
+                reps.append(u)
+                for x in group:
+                    label[u * x % q] = u
+        # uH and vH conflict iff v/u lies in near * H; one y per coset
+        # of near * H, as u permutes the cosets
+        shifts = list({label[y]: y for y in near}.values())
         neigh = [0] * q
         mirror: list[Optional[int]] = [None] * q
-        for c in cosets:
-            neigh[c[0]] = sum({1 << label[c[0] * y % q] for y in near})
+        for u in reps:
+            neigh[u] = sum(1 << label[u * y % q] for y in shifts)
             # uH -> u^-1 H fixes H and, near * H being inverse-closed, is
             # an automorphism of the quotient graph
-            mirror[c[0]] = label[pow(c[0], -1, q)]
+            mirror[u] = label[inverse[u]]
         quotient = _Core(neigh, core.budget, core.t0)
         quotient.nodes = core.nodes  # one budget: carry the count over
-        quotient.search(sum(1 << c[0] for c in cosets) & ~(neigh[1] | one),
+        quotient.search(sum(1 << u for u in reps) & ~(neigh[1] | one),
                         max(best_size // h - 1, 0), mirror=mirror)
         core.nodes, core.exact = quotient.nodes, quotient.exact
         if h * (1 + quotient.best_size) > best_size:
             best_size = h * (1 + quotient.best_size)
             chosen = quotient.best_mask | one
-            best = sum(1 << x for c in cosets if chosen >> c[0] & 1
-                       for x in c)
+            best = sum(1 << x for x in ascending if chosen >> label[x] & 1)
         if not core.exact:
             break
     return best & ~one
@@ -480,20 +515,28 @@ def _lexmin_witness(core: _Core, cand: int, target: int,
     larger vertices of the component, run on ``core`` so that it spends
     from the same node budget.  ``known`` is an optimum of the component
     (the proof's); it stays a completion of the fixed vertices inside
-    cand, so a vertex in it is fixed without a search.  Returns (mask,
-    whether it finished)."""
+    cand, so a vertex in it is fixed without a search.  Before the
+    search for any other vertex, known's members that miss it are grown
+    greedily (``_fill``) inside its completion candidates; the search
+    runs only when that repaired set is too small, and a repaired or
+    found set becomes the new known.  Returns (mask, whether it
+    finished)."""
     chosen_mask = chosen = 0
     while chosen < target:
         low = cand & -cand
         sub = cand & ~(core.neigh[low.bit_length() - 1] | low)
         if not known & low:
-            found = core.exists(sub, target - chosen - 1)
-            if not core.exact:
-                return chosen_mask, False
-            if not found:
-                cand ^= low
-                continue
-            known = core.best_mask | low
+            need = target - chosen - 1
+            fill = _fill(core.neigh, known & sub, sub, need)
+            if fill.bit_count() < need:
+                found = core.exists(sub, need)
+                if not core.exact:
+                    return chosen_mask, False
+                if not found:
+                    cand ^= low
+                    continue
+                fill = core.best_mask
+            known = fill | low
         chosen_mask |= low
         chosen += 1
         cand = sub
@@ -503,7 +546,13 @@ def _lexmin_witness(core: _Core, cand: int, target: int,
 def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
          unit_split: bool) -> tuple[SearchResult, bool]:
     """The search, and whether its witness is the lex-min one (always
-    False without ``lex_witness`` or after a cut-off)."""
+    False without ``lex_witness`` or after a cut-off).
+
+    With ``unit_split`` the branch through vertex 1 is solved first, from
+    the orbit seed.  The non-units are then searched only for a set
+    larger than its total, reading ``rows`` alone; they are solved per
+    component (``_solve``) only if such a set exists or that search was
+    cut off, and win only when strictly larger."""
     t0 = time.monotonic()
     q, neigh = graph.q, graph.rows
     full, one = sum(1 << x for x in graph.vertices), 1 << 1  # one: {1}
@@ -517,13 +566,17 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
         mirror = [pow(x, -1, q) if math.gcd(x, q) == 1 else None
                   for x in range(q)]
         units = sum(1 << x for x, w in enumerate(mirror) if w is not None)
-        seed = _orbit_seed(core, graph, units, full)
+        seed = _orbit_seed(core, graph, mirror, units, full)
         parts = [(one, 1, one)] + _solve(
             core, full & ~(neigh[1] | one), seed, graph.syndromes,
             graph.lam, mirror, units)
-        other = _solve(core, full & ~units)
-        if sum(p[1] for p in other) > sum(p[1] for p in parts):
-            parts = other
+        # a tie goes to the branch through 1: only a larger set counts
+        total, rest = sum(p[1] for p in parts), full & ~units
+        core.search(rest, total, first=True)
+        if core.best_size > total or not core.exact:
+            other = _solve(core, rest)
+            if sum(p[1] for p in other) > total:
+                parts = other
     else:
         parts = _solve(core, full)
 

@@ -137,7 +137,7 @@ def test_search_trivial_modulus(capsys, tmp_path):
 
 
 def test_search_budget_exhaustion_exits_1(capsys, tmp_path):
-    code, out, err = run(capsys, "search", "--q", "106", "--budget", "5",
+    code, out, err = run(capsys, "search", "--q", "101", "--budget", "5",
                          "--cache", str(tmp_path / "c.jsonl"))
     assert code == 1
     assert "max size >=" in out

@@ -17,6 +17,7 @@ from magset.search import (
     Budget,
     ConflictGraph,
     _Core,
+    _lexmin_witness,
     _run,
     _solve,
     SearchCache,
@@ -113,6 +114,17 @@ def test_search_outputs_are_frozen():
         "97fc13e08d4d2268b2eafc327f996966b0309168f1d66a632dcf0805cb5574bd")
 
 
+def test_search_node_counts_are_frozen():
+    # One digest over nodes_expanded for q = 5..106 (110,271 nodes in
+    # all), so that a change in the work of the proof shows even when its
+    # results do not.
+    digest = hashlib.sha256()
+    for q in range(5, 107):
+        digest.update(repr((q, exact_max(q).nodes_expanded)).encode())
+    assert digest.hexdigest() == (
+        "2edb78aa0528dc73a340f00d64c23de899206148331b3514e9b729cdcfbeedd8")
+
+
 def test_unit_split_agrees_with_unreduced():
     for q in range(2, 61):
         reduced = exact_max(q, unit_split=True)
@@ -122,12 +134,13 @@ def test_unit_split_agrees_with_unreduced():
 
 
 def test_budget_cuts_off_with_lower_bound():
-    # Two cosets of the order-13 unit subgroup give the optimum, 26, in
-    # the quotient search before the budget runs out; the proof does not
-    # finish, so the result stays a lower bound.
-    result = exact_max(106, budget=Budget(max_nodes=5, max_seconds=math.inf))
+    # The order-26 unit subgroup is a valid set of the optimum size, 26.
+    # With no node to spend, the orbit seed keeps it as the quotient
+    # search trips at once; the proof (one node) does not run, so the
+    # result stays a lower bound.
+    result = exact_max(106, budget=Budget(max_nodes=0, max_seconds=math.inf))
     assert not result.exact
-    assert result.nodes_expanded <= 5
+    assert result.nodes_expanded <= 0
     assert result.max_size == 26 == len(result.witness)
     assert is_b1_set(result.witness, 106).valid
 
@@ -437,6 +450,128 @@ def test_non_unit_branch_wins_when_it_is_larger():
     assert (result.max_size, result.witness) == (2, (3, 6))
 
 
+def _clique_cover(neigh, cand):
+    """The class count of _Core's greedy clique cover of cand."""
+    classes = 0
+    while cand:
+        classes += 1
+        low = cand & -cand
+        cand ^= low
+        clique = neigh[low.bit_length() - 1] & cand
+        while clique:
+            low = clique & -clique
+            cand ^= low
+            clique &= neigh[low.bit_length() - 1]
+    return classes
+
+
+def _gated_graphs():
+    """Residue-numbered graphs on the nonzero residues mod q where every
+    unit but 1 meets every other vertex, so an optimum through a unit is
+    that unit alone or holds 1; 1 meets a random set of non-units and
+    the non-units get random edges.  All syndromes are 0, which keeps
+    the orbit seed at {1}."""
+    rng = random.Random(27)
+    for q in (9, 10, 12, 14, 15, 16, 18, 20) * 12:
+        others = {x for x in range(2, q) if math.gcd(x, q) == 1}
+        near, p = rng.random(), rng.random()
+        rows = [0] * q
+        for x in range(1, q):
+            for y in range(x + 1, q):
+                if (x in others or y in others
+                        or rng.random() < (near if x == 1 else p)):
+                    rows[x] |= 1 << y
+                    rows[y] |= 1 << x
+        yield q, rows, sum(1 << x for x in others) | 1 << 1
+
+
+def test_non_unit_branch_is_solved_only_when_it_holds_more(monkeypatch):
+    # _run searches the non-units for a set larger than the branch
+    # through 1 before solving them: one node when their clique cover is
+    # no larger than that branch's total.  The result is the brute-force
+    # lex-min optimum whether their bound is below, equal to or above
+    # the total; on a tie the branch through 1 wins.
+    solved = []
+    real_solve = magset.search._solve
+
+    def solve(core, cand, *args):
+        solved.append(cand)
+        return real_solve(core, cand, *args)
+
+    monkeypatch.setattr(magset.search, "_solve", solve)
+    seen = set()
+    for q, rows, units in _gated_graphs():
+        full = sum(1 << x for x in range(1, q))
+        rest = full & ~units
+        total = 1 + _brute_alpha(rows, full & ~(rows[1] | 1 << 1))
+        alpha, bound = _brute_alpha(rows, rest), _clique_cover(rows, rest)
+        seen.add((bound > total) - (bound < total))
+        seen.add("tie" if alpha == total else "wins" if alpha > total
+                 else "loses")
+        solved.clear()
+        graph = ConflictGraph(q, 4, tuple(range(1, q)), tuple(rows),
+                              (0,) * q)
+        result, lex_min = _run(graph, Budget(10**6, math.inf), True, True)
+        expected = _brute_lexmin(rows, full, {})
+        assert result.exact and lex_min, q
+        assert (result.max_size, result.witness) == (len(expected),
+                                                     expected), (q, rows)
+        assert len(solved) == 1 + (alpha > total), (q, rows)
+    assert seen == {-1, 0, 1, "tie", "wins", "loses"}
+
+
+def _optima(neigh, cand):
+    """Every maximum independent set inside cand, as masks."""
+    if not cand:
+        return [0]
+    low = cand & -cand
+    take = [m | low for m in _optima(
+        neigh, cand & ~(neigh[low.bit_length() - 1] | low))]
+    skip = _optima(neigh, cand ^ low)
+    gap = take[0].bit_count() - skip[0].bit_count()
+    return take if gap > 0 else skip if gap < 0 else take + skip
+
+
+def test_lexmin_witness_from_every_optimum_matches_brute_force():
+    # Star 1 - {2, 3} from the optimum {2, 3}: probing 1, the repair
+    # drops 2 and 3, which meet 1, so the decision search runs and
+    # rejects 1.
+    star = _edges(4, [(1, 2), (1, 3)])
+    core = _Core(star, Budget(10**6, math.inf), time.monotonic())
+    assert _lexmin_witness(core, 0b1110, 2, 0b1100) == (0b1100, True)
+    # Whichever optimum the proof hands over, the repairs and decision
+    # searches rebuild the same lex-min optimum.
+    for neigh in _graphs():
+        full = (1 << len(neigh)) - 1
+        expected = sum(1 << v for v in _brute_lexmin(neigh, full, {}))
+        for known in _optima(neigh, full):
+            core = _Core(neigh, Budget(10**6, math.inf), time.monotonic())
+            assert _lexmin_witness(core, full, known.bit_count(),
+                                   known) == (expected, True), (neigh, known)
+
+
+def test_witness_repair_spares_decision_searches(monkeypatch):
+    # On the benchmark's certify moduli the repair settles some probes
+    # and falls short on others; exactly those run a decision search.
+    short, searches = [], []
+    real_fill, real_exists = magset.search._fill, _Core.exists
+
+    def fill(neigh, chosen, inside, need):
+        grown = real_fill(neigh, chosen, inside, need)
+        short.append(grown.bit_count() < need)
+        return grown
+
+    def exists(core, cand, need):
+        searches.append(need)
+        return real_exists(core, cand, need)
+
+    monkeypatch.setattr(magset.search, "_fill", fill)
+    monkeypatch.setattr(_Core, "exists", exists)
+    for q in (146, 101, 149, 124, 133, 89, 79, 62, 65, 88, 140):
+        assert exact_max(q).exact
+    assert 0 < len(searches) == sum(short) < len(short)
+
+
 def test_default_budget_counts_nodes_only(monkeypatch):
     # A 60 s default made exact_max(136), 4,058,140 proof nodes, exact on
     # an idle machine and cut off under load.  With a clock that runs
@@ -489,7 +624,7 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_skips_inexact_and_foreign_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
-    bounded = exact_max(106, budget=Budget(max_nodes=5, max_seconds=math.inf),
+    bounded = exact_max(106, budget=Budget(max_nodes=0, max_seconds=math.inf),
                         cache=SearchCache(str(path)))
     assert not bounded.exact
     assert not path.exists()  # only exact results are persisted
