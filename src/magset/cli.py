@@ -16,9 +16,10 @@ uncorrectable word) or an output pipe closed early, 2 usage error
 (unparseable arguments, modulus whose odd part is divisible by 3, an
 unwritable cache path).
 
-All output is deterministic for identical flags; search budgets given on
-the command line are node counts only (no wall-clock component), so even
-cut-off results are reproducible.
+All output is deterministic for identical flags, except the elapsed time
+that search prints ("ms" in JSON, "... ms" in text); search budgets given
+on the command line are node counts only (no wall-clock component), so
+even cut-off results are reproducible.
 """
 
 from __future__ import annotations

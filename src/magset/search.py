@@ -156,7 +156,7 @@ def conflict_graph(q: int, lam: int = 4) -> ConflictGraph:
     """
     if q < 1 or lam < 1:
         raise ValueError(f"need q >= 1 and lam >= 1, got q={q}, lam={lam}")
-    verts, syn, products = [], [0] * q, []
+    verts, syn, products, owners = [], [0] * q, [], [0] * q
     for x in range(1, q):
         prods = [y % q for y in range(x, (lam + 1) * x, x)]
         mask = 0
@@ -166,11 +166,9 @@ def conflict_graph(q: int, lam: int = 4) -> ConflictGraph:
             verts.append(x)
             syn[x] = mask
             products.append(prods)
-    owners = [0] * q
-    for x, prods in zip(verts, products):
-        bit = 1 << x
-        for s in prods:
-            owners[s] |= bit
+            bit = 1 << x
+            for s in prods:
+                owners[s] |= bit
     rows = [0] * q
     for x, prods in zip(verts, products):
         row = 0
@@ -251,16 +249,17 @@ class SearchCache:
 
 class _Core:
     """Colour-ordered bitmask branch-and-bound over one conflict graph
-    (``neigh[x]`` the row of vertex x), in optimisation or decision mode."""
+    (``neigh[x]`` the row of vertex x), in optimisation or decision mode.
+    Each search returns its set; the core holds the node count, from
+    ``nodes`` on, and ``exact``, False once the budget trips."""
 
-    def __init__(self, neigh: list[int], budget: Budget, t0: float) -> None:
+    def __init__(self, neigh: Sequence[int], budget: Budget, t0: float,
+                 nodes: int = 0) -> None:
         self.neigh = neigh
         self.budget = budget
         self.t0 = t0
-        self.nodes = 0
+        self.nodes = nodes
         self.exact = True
-        self.best_size = 0
-        self.best_mask = 0
 
     def _tripped(self) -> bool:
         if self.nodes >= self.budget.max_nodes or not self.nodes & 1023 \
@@ -269,9 +268,11 @@ class _Core:
         return not self.exact
 
     def search(self, cand: int, best: int = 0, first: bool = False,
-               mirror: Optional[Sequence[Optional[int]]] = None) -> None:
-        """Raise best_size/best_mask above ``best`` with an independent set
-        inside cand; with ``first``, stop at the first such set.
+               mirror: Optional[Sequence[Optional[int]]] = None
+               ) -> tuple[int, int]:
+        """The largest independent set inside cand that beats ``best``, as
+        (size, mask); with ``first``, the first such set.  (best, 0) when
+        none does; after a cut-off, the best found so far.
 
         Each node colours its candidates by a greedy clique cover (lowest
         vertex first, absorbing the lowest common neighbour) and tries
@@ -283,16 +284,15 @@ class _Core:
         too, as any set through mirror[v] but not v maps to one through v.
         """
         neigh = self.neigh
-        self.best_size, self.best_mask = best, 0
         frames = []  # not recursion: a dive is as deep as the set is large
-        cnt = mask = 0
+        cnt = mask = best_mask = 0
         while True:
             if cand:  # expand the node (cand, cnt, mask)
                 if self._tripped():
-                    return
+                    return best, best_mask
                 self.nodes += 1
                 # only classes above best - cnt can be tried at this node
-                floor = self.best_size - cnt
+                floor = best - cnt
                 todo = []
                 rem, c = cand, 0
                 while rem:
@@ -314,11 +314,11 @@ class _Core:
             while frames:
                 frame = frames[-1]
                 cand, todo, cnt, mask = frame
-                if todo and cnt + todo[-1][0] > self.best_size:
+                if todo and cnt + todo[-1][0] > best:
                     break
                 frames.pop()
             else:
-                return
+                return best, best_mask
             v = todo.pop()[1]
             vbit = 1 << v
             frame[0] = cand ^ vbit
@@ -329,23 +329,14 @@ class _Core:
             cand &= ~(neigh[v] | vbit)
             cnt += 1
             mask |= vbit
-            if not cand and cnt > self.best_size:
+            if not cand and cnt > best:
                 # a leaf: v misses a member of every earlier class, so
                 # without mirror only a class-1 vertex empties cand, and
                 # it passed cnt > best; a root mirror strike can empty it
                 # at any class
-                self.best_size, self.best_mask = cnt, mask
+                best, best_mask = cnt, mask
                 if first:
-                    return
-
-    def exists(self, cand: int, need: int) -> bool:
-        """Decision mode: is there an independent set of size >= need
-        inside cand?  On success, ``best_mask`` holds one."""
-        if need <= 0:
-            self.best_mask = 0
-            return True
-        self.search(cand, need - 1, first=True)
-        return self.exact and self.best_size >= need
+                    return best, best_mask
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -418,9 +409,9 @@ def _solve(core: _Core, cand: int, seed: int = 0, syn: Sequence[int] = (),
             # after a cut-off this returns at once
             closed = mirror and not comp & ~units and \
                 comp >> mirror[(comp & -comp).bit_length() - 1] & 1
-            core.search(comp, size, mirror=mirror if closed else None)
-            if core.best_size > size:
-                size, mask = core.best_size, core.best_mask
+            found = core.search(comp, size, mirror=mirror if closed else None)
+            if found[0] > size:
+                size, mask = found
         if not core.exact:
             greedy = _fill(core.neigh, 0, comp, comp.bit_count())
             if greedy.bit_count() > size:
@@ -494,14 +485,14 @@ def _orbit_seed(core: _Core, graph: ConflictGraph,
             # uH -> u^-1 H fixes H and, near * H being inverse-closed, is
             # an automorphism of the quotient graph
             mirror[u] = label[inverse[u]]
-        quotient = _Core(neigh, core.budget, core.t0)
-        quotient.nodes = core.nodes  # one budget: carry the count over
-        quotient.search(sum(1 << u for u in reps) & ~(neigh[1] | one),
-                        max(best_size // h - 1, 0), mirror=mirror)
+        quotient = _Core(neigh, core.budget, core.t0, core.nodes)
+        size, chosen = quotient.search(
+            sum(1 << u for u in reps) & ~(neigh[1] | one),
+            max(best_size // h - 1, 0), mirror=mirror)
         core.nodes, core.exact = quotient.nodes, quotient.exact
-        if h * (1 + quotient.best_size) > best_size:
-            best_size = h * (1 + quotient.best_size)
-            chosen = quotient.best_mask | one
+        if h * (1 + size) > best_size:
+            best_size = h * (1 + size)
+            chosen |= one
             best = sum(1 << x for x in ascending if chosen >> label[x] & 1)
         if not core.exact:
             break
@@ -519,28 +510,29 @@ def _lexmin_witness(core: _Core, cand: int, target: int,
     search for any other vertex, known's members that miss it are grown
     greedily (``_fill``) inside its completion candidates; the search
     runs only when that repaired set is too small, and a repaired or
-    found set becomes the new known.  Returns (mask, whether it
-    finished)."""
+    found set becomes the new known.  Returns (mask, finished): the
+    vertices fixed, and whether there are ``target`` of them, which
+    fails after a cut-off or when cand runs out first (``target`` above
+    the component's optimum)."""
     chosen_mask = chosen = 0
-    while chosen < target:
+    while chosen < target and cand:
         low = cand & -cand
         sub = cand & ~(core.neigh[low.bit_length() - 1] | low)
         if not known & low:
             need = target - chosen - 1
             fill = _fill(core.neigh, known & sub, sub, need)
             if fill.bit_count() < need:
-                found = core.exists(sub, need)
+                size, fill = core.search(sub, need - 1, first=True)
                 if not core.exact:
                     return chosen_mask, False
-                if not found:
+                if size < need:
                     cand ^= low
                     continue
-                fill = core.best_mask
             known = fill | low
         chosen_mask |= low
         chosen += 1
         cand = sub
-    return chosen_mask, True
+    return chosen_mask, chosen == target
 
 
 def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
@@ -572,8 +564,7 @@ def _run(graph: ConflictGraph, budget: Budget, lex_witness: bool,
             graph.lam, mirror, units)
         # a tie goes to the branch through 1: only a larger set counts
         total, rest = sum(p[1] for p in parts), full & ~units
-        core.search(rest, total, first=True)
-        if core.best_size > total or not core.exact:
+        if core.search(rest, total, first=True)[0] > total or not core.exact:
             other = _solve(core, rest)
             if sum(p[1] for p in other) > total:
                 parts = other

@@ -114,6 +114,16 @@ def test_verify_parse_error(capsys):
     assert "not a comma-separated integer list" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("bound", "--q", "0"), "must be >= 1, got 0"),
+    (("verify", "--q", "9", "--set=,,"), "not a comma-separated integer list"),
+])
+def test_usage_error_on_a_bad_argument_value(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_verify_domain_error_is_exit_1(capsys):
     code, _, err = run(capsys, "verify", "--q", "20", "--set", "25")
     assert code == 1

@@ -1,5 +1,6 @@
 """Linear codes from valid sets: encode, syndrome decode, channel model."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -335,6 +336,21 @@ def test_simulate_on_golden_sets():
         code = make_code(GOLDEN_SETS[q], q)
         stats = simulate_channel(code, 300, error_rate=1.0, seed=5)
         assert stats.corrected == 300
+
+
+def test_simulate_counts_detected_and_miscorrected_words(code20):
+    # A valid set's code corrects every trial, so these counts need a
+    # broken table: with no entry no syndrome is known, and every word is
+    # detected; with each magnitude e read as e % 4 + 1, the right
+    # position gets the wrong fix, and every word is miscorrected.
+    empty = dataclasses.replace(code20, table={})
+    shifted = dataclasses.replace(code20, table={
+        s: (e % 4 + 1, pos) for s, (e, pos) in code20.table.items()})
+    for code, counts in ((empty, (0, 200, 0)), (shifted, (0, 0, 200))):
+        stats = simulate_channel(code, 200, error_rate=1.0, seed=4)
+        assert (stats.corrected, stats.detected,
+                stats.miscorrected) == counts
+        assert stats.trials == 200
 
 
 def test_simulate_validates_inputs(code20):

@@ -477,6 +477,16 @@ def test_orbit_layer_matches_its_definition():
 def test_eightfold_validates_base():
     with pytest.raises(ConstructionError):
         build_eightfold(3, 5, construct(20))  # base modulus must be q/8
+    with pytest.raises(ConstructionError, match="needs k >= 3, got 2"):
+        build_eightfold(2, 5, construct(10))
+
+
+def test_builders_refuse_r_sharing_a_factor_with_6():
+    for build, r in ((build_twice_odd, 9), (build_four_times_odd, 15)):
+        with pytest.raises(ConstructionError,
+                           match=rf"^need odd r with gcd\(r, 6\) = 1, "
+                                 rf"got r={r}$"):
+            build(r)
 
 
 def test_closed_form_when_k_is_2_mod_3():

@@ -241,6 +241,7 @@ class _MirrorLog(_Core):
 
     def search(self, cand, best=0, first=False, mirror=None):
         self.log.append((cand, mirror))
+        return best, 0
 
 
 def _unit_branch_mirrors(q):
@@ -308,13 +309,18 @@ def test_core_matches_brute_force_alpha():
         for cand in (full, rng.getrandbits(len(neigh)) & full):
             alpha = _brute_alpha(neigh, cand)
             core = _Core(neigh, Budget(10**6, math.inf), time.monotonic())
-            core.search(cand)
-            assert core.exact and core.best_size == alpha
-            for need in range(alpha + 3):
-                found = core.exists(cand, need)
-                assert found == (alpha >= need), (neigh, cand, need)
+            assert core.search(cand)[0] == alpha and core.exact
+            # decision mode: a set of need or more, need >= 1, is found
+            # by a first-hit search from best = need - 1
+            for need in range(1, alpha + 3):
+                size, mask = core.search(cand, need - 1, first=True)
+                found = size >= need
+                assert core.exact and found == (alpha >= need), \
+                    (neigh, cand, need)
+                # the set found, or the preset best and no set
+                assert (size, mask) == ((bin(mask).count("1"), mask) if found
+                                        else (need - 1, 0))
                 if found:
-                    mask = core.best_mask
                     assert mask & ~cand == 0
                     assert bin(mask).count("1") >= need
                     assert all(not neigh[v] & mask
@@ -343,10 +349,9 @@ def _check_mirrored_search(neigh, mirror, cand):
     alpha = _brute_alpha(neigh, cand)
     for best in range(alpha + 1):
         core = _Core(neigh, Budget(10**6, math.inf), time.monotonic())
-        core.search(cand, best, mirror=mirror)
-        assert core.exact and core.best_size == alpha, (neigh, cand, best)
+        size, mask = core.search(cand, best, mirror=mirror)
+        assert core.exact and size == alpha, (neigh, cand, best)
         if best < alpha:
-            mask = core.best_mask
             assert mask & ~cand == 0 and bin(mask).count("1") == alpha
             assert all(not neigh[v] & mask
                        for v in range(len(neigh)) if mask >> v & 1)
@@ -550,23 +555,44 @@ def test_lexmin_witness_from_every_optimum_matches_brute_force():
                                    known) == (expected, True), (neigh, known)
 
 
+def test_lexmin_witness_reports_a_target_above_the_optimum_unfinished():
+    # The path 0 - 1 - 2 holds at most 2 vertices.  From its optimum
+    # {0, 2}, the candidates run out after two fixes: neither an empty
+    # vertex fixed for the third (target 3) nor an endless probe for the
+    # third (target 4), but the two fixed and finished False.
+    path = _edges(3, [(0, 1), (1, 2)])
+    for target in (3, 4):
+        core = _Core(path, Budget(10**6, math.inf), time.monotonic())
+        assert _lexmin_witness(core, 0b111, target, 0b101) == (0b101, False)
+
+
 def test_witness_repair_spares_decision_searches(monkeypatch):
     # On the benchmark's certify moduli the repair settles some probes
     # and falls short on others; exactly those run a decision search.
-    short, searches = [], []
-    real_fill, real_exists = magset.search._fill, _Core.exists
+    short, searches, witness_phase = [], [], []
+    real_fill, real_search = magset.search._fill, _Core.search
+    real_witness = _lexmin_witness
 
     def fill(neigh, chosen, inside, need):
         grown = real_fill(neigh, chosen, inside, need)
         short.append(grown.bit_count() < need)
         return grown
 
-    def exists(core, cand, need):
-        searches.append(need)
-        return real_exists(core, cand, need)
+    def search(core, cand, best=0, first=False, mirror=None):
+        if witness_phase:  # every search of _lexmin_witness decides
+            searches.append(best)
+        return real_search(core, cand, best, first, mirror)
+
+    def witness(*args):
+        witness_phase.append(True)
+        try:
+            return real_witness(*args)
+        finally:
+            witness_phase.pop()
 
     monkeypatch.setattr(magset.search, "_fill", fill)
-    monkeypatch.setattr(_Core, "exists", exists)
+    monkeypatch.setattr(_Core, "search", search)
+    monkeypatch.setattr(magset.search, "_lexmin_witness", witness)
     for q in (146, 101, 149, 124, 133, 89, 79, 62, 65, 88, 140):
         assert exact_max(q).exact
     assert 0 < len(searches) == sum(short) < len(short)
