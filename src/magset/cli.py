@@ -82,11 +82,16 @@ def _rate(text: str) -> float:
 
 def _report_json(report) -> str:
     """``json.dumps(report.to_json_dict(), indent=2)``, each element list
-    rendered by json's C encoder: its indenting encoder is pure Python."""
+    rendered by json's C encoder, as its indenting encoder is pure Python.
+    A list is encoded once and indented by one replace of its commas, so
+    a piece that shares the report's list (q = 2p) costs no second pass."""
     data, texts = report.to_json_dict(), []
+    top = data["elements"]
+    flat = json.dumps(top, separators=(",", ":"))[1:-1]
     for holder, pad in [(data, "\n  "), *((p, "\n      ") for p in data["pieces"])]:
         items, holder["elements"] = holder["elements"], "\0"
-        body = json.dumps(items, separators=(f",{pad}  ", ":"))[1:-1]
+        text = flat if items is top else json.dumps(items, separators=(",", ":"))[1:-1]
+        body = text.replace(",", f",{pad}  ")
         texts.append(f"[{pad}  {body}{pad}]" if items else "[]")
     parts = json.dumps(data, indent=2).split('"\\u0000"')
     return "".join(part + text for part, text in zip(parts, texts + [""]))

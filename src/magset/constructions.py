@@ -51,10 +51,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat
 from typing import Optional
 
-from .numtheory import coset_reps, divisors, euler_phi, mult_order, power_list
+from .numtheory import (coset_reps, discrete_log, divisors, euler_phi,
+                        mult_order, power_list)
 from .residues import Instance
 from .search import Budget, SearchResult, exact_max
 from .verifier import format_witness, is_b1_set
@@ -112,8 +112,7 @@ class DivisorContext:
       ``[0, n-1]`` with ``2**t * 3**s == 1 (mod d)``, and ``reps`` is a
       transversal of the cosets of <3, b> in the units mod 2d.
 
-    ``powers`` lists 3**e mod 2d for 0 <= e < n.  Unused parameters of
-    the other family are None.
+    Unused parameters of the other family are None.
     """
 
     d: int
@@ -126,49 +125,45 @@ class DivisorContext:
     r_prime: Optional[int] = None
     t: Optional[int] = None
     b: Optional[int] = None
-    powers: tuple[int, ...] = field(default=(), repr=False)
 
 
 def divisor_context(d: int) -> DivisorContext:
     """Compute the orbit parameters that select a pattern for divisor d.
 
-    n is the order of 3 mod 2d (also mod d, as 3 is odd); ``powers`` is
-    the orbit of 3 mod 2d.  Its members are odd, so 3**e == y (mod d)
-    exactly when it holds y's odd lift, y or y + d.  b = d + 2 lifts 2 and
-    b**t mod 2d lifts 2**t; t is the first power that lands in the orbit:
-    t = 1 in family A, whose s is the index of b, and family B's s is that
-    of b**-t.  The list scans take at most t * n <= phi(d) comparisons.
+    n is the order of 3 mod d (also mod 2d, as 3 is odd).  One discrete
+    log to base 3 mod d (:func:`~magset.numtheory.discrete_log`, its
+    baby-step table built once) finds t, the first power 2**t that lies
+    in <3>, as the first that has a log e: t = 1 in family A, whose s is
+    that e, and family B's s solves 3**s == 2**-t, so s = -e mod n.  The
+    t calls take O(t * sqrt(n)) steps in all.
     """
     if d < 5 or math.gcd(d, 6) != 1:
         raise ConstructionError(
             f"divisor contexts exist for d >= 5 with gcd(d, 6) = 1, got d={d}")
-    n = mult_order(3, 2 * d)
-    powers = power_list(3, n, 2 * d)
-    t, b, b_t = 1, d + 2, d + 2
-    while b_t not in powers:
-        t, b_t = t + 1, b_t * b % (2 * d)
+    n = mult_order(3, d)
+    log = discrete_log(3, n, d)
+    t, two_t = 1, 2
+    while (e := log(two_t)) is None:
+        t, two_t = t + 1, two_t * 2 % d
     if t == 1:
-        s_two = powers.index(b)
-        m = min(s_two, n - s_two)
+        m = min(e, n - e)
         k_prime = n // (2 * m)
-        ctx = DivisorContext(d=d, n=n, two_in_three=True, s=s_two,
+        ctx = DivisorContext(d=d, n=n, two_in_three=True, s=e,
                              reps=coset_reps((3,), 2 * d), m=m,
-                             k_prime=k_prime, r_prime=n - 2 * k_prime * m,
-                             powers=tuple(powers))
+                             k_prime=k_prime, r_prime=n - 2 * k_prime * m)
     else:
-        ctx = DivisorContext(d=d, n=n, two_in_three=False,
-                             s=powers.index(pow(b_t, -1, 2 * d)),
-                             reps=coset_reps((3, b), 2 * d), t=t, b=b,
-                             powers=tuple(powers))
-    if len(ctx.reps) * (ctx.t or 1) * n != euler_phi(d):
+        ctx = DivisorContext(d=d, n=n, two_in_three=False, s=-e % n,
+                             reps=coset_reps((3, d + 2), 2 * d), t=t, b=d + 2)
+    if len(ctx.reps) * t * n != euler_phi(d):
         raise ConstructionError(f"coset count mismatch for d={d}")
     return ctx
 
 
 # --------------------------------------------------------------------------
 # Both pattern families are written as runs (j, parity, start, stop): the
-# cells (j, 2i + parity) for start <= i < stop.  _cells expands them, and
-# _exponents the exponents alone (family A has the one row j = 0).
+# cells (j, 2i + parity) for start <= i < stop.  Family A has the one row
+# j = 0.  build_divisor_piece turns each run into powers of 9 times the
+# run's first element; no pattern lists the orbit of 3.
 #
 # Pattern family A: 2 lies in the orbit of 3 mod d.
 #
@@ -178,21 +173,10 @@ def divisor_context(d: int) -> DivisorContext:
 # 3 shifts e by 1; multiplying by 2 shifts e by s), so E must be
 # independent in that circulant.  Most patterns are the blocks of even
 # then odd runs of length m (_blocks) plus a few literal runs; m = 2
-# (period 3) and the k'=1 branch with 2 < r' <= m (a checkerboard with
-# one domain wall) are not runs and stay explicit lists.
+# (period 3) is one run per exponent, and the k'=1 branch with
+# 2 < r' <= m (a checkerboard with one domain wall) one run per turn of
+# its wall (_domain_wall_runs).
 # --------------------------------------------------------------------------
-
-def _exponents(runs):
-    """The exponents 2i + parity of each run, in order (an iterator)."""
-    return chain.from_iterable(range(2 * start + parity, 2 * stop + parity, 2)
-                               for _, parity, start, stop in runs)
-
-
-def _cells(runs: list) -> list[tuple[int, int]]:
-    """The cells (j, 2i + parity) of each run, in order."""
-    rows = chain.from_iterable(repeat(j, stop - start) for j, _, start, stop in runs)
-    return list(zip(rows, _exponents(runs)))
-
 
 def _blocks(count: int, m: int) -> list[tuple[int, int, int, int]]:
     """The first ``count`` blocks of the standard packing: block b starts
@@ -201,7 +185,7 @@ def _blocks(count: int, m: int) -> list[tuple[int, int, int, int]]:
             ((0, 0, lo, lo + m // 2), (0, 1, lo + m // 2, lo + m - 1))]
 
 
-def _domain_wall_exponents(n: int, m: int) -> list[int]:
+def _domain_wall_runs(n: int, m: int) -> list[tuple[int, int, int, int]]:
     """Independent exponents in C_n(+-1, +-m) for even m, n with 2m < n <= 3m.
 
     Lifting e = i + m*j puts the exponents on the grid Z^2, where the
@@ -213,7 +197,7 @@ def _domain_wall_exponents(n: int, m: int) -> list[int]:
     W.  For each even c in [2, n - 2m] the odd b nearest c*m/n gives the
     shortest wall; the shortest over all c (smallest c on ties) is used.
 
-    In exponent terms, e is kept when e + floor(c*e/n) is even and
+    In exponent terms, e < n is kept when e + floor(c*e/n) is even and
     c*e mod n < n - W.  The step e -> e+1 moves c*e by c, and e -> e+m
     moves it by c*m = b*n + (c*m - b*n): an odd number b of whole turns
     plus at most W.  Unless a step also crosses a multiple of n, the
@@ -225,20 +209,27 @@ def _domain_wall_exponents(n: int, m: int) -> list[int]:
     fewer than m.  n/2 - W/2 is also the exact in-class maximum wherever
     that has been checked (d = 49 by the refine search), but is not
     proven to be.
+
+    So the kept e of turn f = floor(c*e/n) < c are one run: those of f's
+    parity p with f*n <= c*e < f*n + n - W, that is e = 2i + p for
+    ceil((f*n - p*c) / 2c) <= i < ceil((f*n + n - W - p*c) / 2c).
     """
     def wall_length(c: int) -> int:
         b = 2 * (c * m // (2 * n)) + 1  # the odd integer nearest c*m/n
         return max(c, abs(c * m - b * n))
 
+    def index(x: int) -> int:  # ceil(x / 2c), the least i with 2*i*c >= x
+        return -(-x // (2 * c))
+
     c = min(range(2, n - 2 * m + 1, 2), key=wall_length)
     wall = wall_length(c)
-    return [e for e in range(n)
-            if (e + c * e // n) % 2 == 0 and c * e % n < n - wall]
+    return [(0, f % 2, index(f * n - f % 2 * c), index((f + 1) * n - wall - f % 2 * c))
+            for f in range(c)]
 
 
-def _orbit_exponents(n: int, s: int, m: int, k_prime: int,
-                     r_prime: int) -> tuple[str, list[int]]:
-    """Choose the exponent pattern for family A; returns (case label, E)."""
+def _orbit_runs(n: int, s: int, m: int, k_prime: int,
+                r_prime: int) -> tuple[str, list[tuple[int, int, int, int]]]:
+    """Choose the exponent pattern for family A; returns (case label, runs)."""
     kp, rp = k_prime, r_prime
     top = kp * m  # the half-index where the blocks end
     if n % 2 == 0:
@@ -246,46 +237,43 @@ def _orbit_exponents(n: int, s: int, m: int, k_prime: int,
             # All even exponents work: their pairwise differences are even
             # while both conflict offsets (1 and s) are odd.  Size n/2 meets
             # the in-class optimum.
-            label, runs = "n-even/s-odd", [(0, 0, 0, n // 2)]
-        elif m == 2:
-            # Period-3 packing; provably the in-class optimum for m = 2.
-            return "n-even/s-even/m=2", [3 * i for i in range(n // 3)]
-        elif rp == 0:
-            label, runs = "n-even/s-even/r'=0", _blocks(kp, m)
-        elif rp == 2:
-            label, runs = "n-even/s-even/r'=2", _blocks(kp, m) + [(0, 1, top - 1, top)]
-        elif rp <= m and kp == 1:
-            return "n-even/s-even/2<r'<=m/k'=1", _domain_wall_exponents(n, m)
-        elif rp <= m:
-            label, runs = "n-even/s-even/2<r'<=m/k'>=2", _blocks(kp - 1, m) + [
+            return "n-even/s-odd", [(0, 0, 0, n // 2)]
+        if m == 2:
+            # Period-3 packing, the exponents 3i; provably the in-class
+            # optimum for m = 2.
+            return "n-even/s-even/m=2", [(0, i % 2, 3 * i // 2, 3 * i // 2 + 1)
+                                         for i in range(n // 3)]
+        if rp == 0:
+            return "n-even/s-even/r'=0", _blocks(kp, m)
+        if rp == 2:
+            return "n-even/s-even/r'=2", _blocks(kp, m) + [(0, 1, top - 1, top)]
+        if rp <= m and kp == 1:
+            return "n-even/s-even/2<r'<=m/k'=1", _domain_wall_runs(n, m)
+        if rp <= m:
+            return "n-even/s-even/2<r'<=m/k'>=2", _blocks(kp - 1, m) + [
                 (0, 0, top - m + 1, top - m // 2 + 1),
                 (0, 1, top - m // 2 + 1, top + 1),
                 (0, 1, top - m - 1, top - m)]
-        else:
-            label, runs = "n-even/s-even/r'>m", _blocks(kp - 1, m) + [
-                (0, 0, top - m, top + (rp - 3 * m) // 2),
-                (0, 1, top - (m + 2) // 2, top + (rp - 2 * m - 2) // 2),
-                (0, 0, top + (rp - 2 * m) // 2, top + (rp - m) // 2),
-                (0, 1, top + (rp - m) // 2, top + (rp - 2) // 2)]
-    elif m % 2 == 1:
-        label, runs = "n-odd/m-odd", [(0, 0, 0, (n - m) // 2)]
-    else:
-        # the evens of block k'-1, then odds and evens that depend on r'
-        runs = _blocks(kp - 1, m) + [(0, 0, top - m, top - m // 2)]
-        if rp <= m:
-            label = "n-odd/m-even/r'<=m"
-            runs += [(0, 1, top - m // 2, (n - m - 1) // 2),
-                     (0, 0, top, (n - 1) // 2)]
-        else:
-            # r' = m + 1 is a boundary shape: the r'>m pattern would put the odd
-            # exponent 2k'm - 1 next to the even exponent 2k'm, so the odd run
-            # stops one step early.  The one-larger packing does not exist
-            # here (checked exactly for the smallest instances n=13, 19, 21).
-            edge = rp == m + 1
-            label = "n-odd/m-even/r'=m+1" if edge else "n-odd/m-even/r'>m"
-            runs += [(0, 1, top - m // 2, top - 1 if edge else top),
-                     (0, 0, (n - m - 1) // 2, (n - 1) // 2)]
-    return label, list(_exponents(runs))
+        return "n-even/s-even/r'>m", _blocks(kp - 1, m) + [
+            (0, 0, top - m, top + (rp - 3 * m) // 2),
+            (0, 1, top - (m + 2) // 2, top + (rp - 2 * m - 2) // 2),
+            (0, 0, top + (rp - 2 * m) // 2, top + (rp - m) // 2),
+            (0, 1, top + (rp - m) // 2, top + (rp - 2) // 2)]
+    if m % 2 == 1:
+        return "n-odd/m-odd", [(0, 0, 0, (n - m) // 2)]
+    # the evens of block k'-1, then odds and evens that depend on r'
+    runs = _blocks(kp - 1, m) + [(0, 0, top - m, top - m // 2)]
+    if rp <= m:
+        return "n-odd/m-even/r'<=m", runs + [(0, 1, top - m // 2, (n - m - 1) // 2),
+                                            (0, 0, top, (n - 1) // 2)]
+    # r' = m + 1 is a boundary shape: the r'>m pattern would put the odd
+    # exponent 2k'm - 1 next to the even exponent 2k'm, so the odd run
+    # stops one step early.  The one-larger packing does not exist here
+    # (checked exactly for the smallest instances n=13, 19, 21).
+    edge = rp == m + 1
+    label = "n-odd/m-even/r'=m+1" if edge else "n-odd/m-even/r'>m"
+    return label, runs + [(0, 1, top - m // 2, top - 1 if edge else top),
+                          (0, 0, (n - m - 1) // 2, (n - 1) // 2)]
 
 
 # --------------------------------------------------------------------------
@@ -297,11 +285,12 @@ def _orbit_exponents(n: int, s: int, m: int, k_prime: int,
 # (j, e) ~ (j, e +- 1)   (multiplying by 3),
 # (j, e) ~ (j + 1, e)    (multiplying by 2 within a b-power row), and
 # (0, e) ~ (t - 1, e + s) (the wrap: 2 * b**(t-1) * 3**s is a unit times 1).
-# Cells must be independent in that grid.
+# Cells must be independent in that grid.  Each row is two runs, one of
+# each parity (_grid_runs).
 # --------------------------------------------------------------------------
 
-def _grid_cells(n: int, t: int, s: int) -> tuple[str, list[tuple[int, int]]]:
-    """Choose the cell pattern for family B; returns (case label, cells).
+def _grid_runs(n: int, t: int, s: int) -> tuple[str, list[tuple[int, int, int, int]]]:
+    """Choose the cell pattern for family B; returns (case label, runs).
 
     Row j < t - 1 follows the spec ``even`` or ``odd`` by the parity of j,
     row t - 1 follows ``last``; a spec (parity, split, start, stop) is the
@@ -309,9 +298,8 @@ def _grid_cells(n: int, t: int, s: int) -> tuple[str, list[tuple[int, int]]]:
     """
     label, even, odd, last = _grid_case(n, t, s)
     rows = [odd if j % 2 else even for j in range(t - 1)] + [last]
-    return label, _cells([
-        run for j, (parity, split, start, stop) in enumerate(rows)
-        for run in ((j, parity, 0, split), (j, 1 - parity, start, stop))])
+    return label, [run for j, (parity, split, start, stop) in enumerate(rows)
+                   for run in ((j, parity, 0, split), (j, 1 - parity, start, stop))]
 
 
 def _grid_case(n: int, t: int, s: int) -> tuple[str, tuple, tuple, tuple]:
@@ -440,7 +428,12 @@ class ConstructionReport:
         return len(self.elements)
 
     def to_json_dict(self) -> dict:
-        """Stable JSON form (elements ascending, pieces by divisor)."""
+        """Stable JSON form (elements ascending, pieces by divisor).
+
+        Each element list is sorted once: a piece that holds the whole
+        set (q = 2p has one) shares the report's list object.
+        """
+        elements = sorted(self.elements)
         return {
             "q": self.instance.q,
             "k": self.instance.k,
@@ -448,9 +441,11 @@ class ConstructionReport:
             "lambda": self.instance.lam,
             "size": self.size,
             "upper_bound": self.upper_bound,
-            "elements": sorted(self.elements),
+            "elements": elements,
             "pieces": [
-                {"d": p.d, "case": p.case, "elements": sorted(p.elements)}
+                {"d": p.d, "case": p.case,
+                 "elements": elements if p.elements == self.elements
+                 else sorted(p.elements)}
                 for p in self.pieces
             ],
             "verified": self.verified,
@@ -513,6 +508,14 @@ def build_divisor_piece(d: int, q: int) -> Piece:
     invalid ones.  The piece is not verified here: the assembled set it
     goes into is (see :func:`build_twice_odd`).
 
+    The elements are {a * b**j * 3**e mod 2d * r/d} over the reps a and
+    the cells (j, e) of the pattern's runs, b = d + 2.  A run's cells are
+    e = 2i + parity, start <= i < stop, so for each rep a it is one
+    running product of 9: the powers 9**i, i < stop - start, listed once
+    per piece, times a * b**j * 3**(2*start + parity) mod 2d and scaled by
+    r/d in the same pass.  A run that starts at 1 with scale 1 is a slice
+    of that list.  Every element is listed once, which is checked.
+
     The piece is ``certified`` when it meets the counting bound of its
     class.  Take a member x of V_d mod 2d, the residues prime to d; its
     syndromes e*x are prime to d too, since e <= 4 is.  The even
@@ -530,24 +533,26 @@ def build_divisor_piece(d: int, q: int) -> Piece:
             f"build_divisor_piece needs q = 2r, d | r, gcd(r,6)=1; "
             f"got d={d}, q={q}")
     ctx = divisor_context(d)
-    qd, n, powers = 2 * d, ctx.n, ctx.powers
     if ctx.two_in_three:
-        label, exps = _orbit_exponents(n, ctx.s, ctx.m, ctx.k_prime,
-                                       ctx.r_prime)
-        factors = [powers[e % n] for e in exps]
+        label, runs = _orbit_runs(ctx.n, ctx.s, ctx.m, ctx.k_prime, ctx.r_prime)
     else:
-        label, cells = _grid_cells(n, ctx.t, ctx.s)
-        b_powers = power_list(ctx.b, ctx.t, qd)
-        factors = [b_powers[j] * powers[e % n] % qd for j, e in cells]
+        label, runs = _grid_runs(ctx.n, ctx.t, ctx.s)
     # x * r/d < q for x < 2d: scaling neither wraps nor collides.
-    scale = r // d
-    elements = frozenset([a * f % qd * scale for a in ctx.reps
-                          for f in factors])
-    expected = len(ctx.reps) * len(factors)
-    if len(elements) != expected:
+    qd, scale = 2 * d, r // d
+    nines = power_list(9, max(stop - start for *_, start, stop in runs), qd)
+    listed: list[int] = []
+    for j, parity, start, stop in runs:
+        first = pow(d + 2, j, qd) * pow(3, 2 * start + parity, qd) % qd
+        run = nines[:stop - start]
+        for a in ctx.reps:
+            x = a * first % qd
+            listed += run if x == 1 and scale == 1 else [
+                x * p % qd * scale for p in run]
+    elements = frozenset(listed)
+    if len(elements) != len(listed):
         raise ConstructionError(
             f"pattern for d={d} produced {len(elements)} elements, "
-            f"expected {expected} (case {label})")
+            f"expected {len(listed)} (case {label})")
     return Piece(d=d, case=label, elements=elements,
                  certified=2 * len(elements) == euler_phi(d) or ctx.m == 2)
 
@@ -631,7 +636,9 @@ def _orbit_layer(q: int, level: int, r: int, d: int) -> tuple[int, frozenset[int
     even, so x == 1 (mod M) gives x**2 == 1 (mod 2M), and n | n' | 2n;
     n' = n exactly when 3**n == 1 (mod 2M).  Each case gives n elements
     per coset, phi(M) in all, which is checked.  Both kinds are built
-    from the powers 9**i: 3**(2i+1) * beta is 9**i * (3 * beta mod q).
+    from one list of the powers 9**i: 3**(2i+1) * beta is
+    9**i * (3 * beta mod q), and where alpha = 1 (a = 1 and d = r) the
+    even powers are that list itself, with no multiply pass.
     """
     modulus = level * d
     n = mult_order(3, modulus)
@@ -644,11 +651,13 @@ def _orbit_layer(q: int, level: int, r: int, d: int) -> tuple[int, frozenset[int
     odds = n - evens
     nines = power_list(9, max(evens, odd_from + odds), q)
     even_powers, odd_nines = nines[:evens], nines[odd_from:odd_from + odds]
-    scale = r // d
-    alphas = [a * scale % q for a in coset_reps((3,), modulus)]
-    betas = [3 * (alpha + twist) % q for alpha in alphas]
-    elements = frozenset([p * alpha % q for alpha in alphas for p in even_powers]
-                         + [p * beta % q for beta in betas for p in odd_nines])
+    scale, listed = r // d, []
+    for a in coset_reps((3,), modulus):
+        alpha = a * scale % q
+        beta = 3 * (alpha + twist) % q
+        listed += even_powers if alpha == 1 else [p * alpha % q for p in even_powers]
+        listed += [p * beta % q for p in odd_nines]
+    elements = frozenset(listed)
     if len(elements) != euler_phi(modulus):
         raise ConstructionError(f"piece of d={d} at q={q} has "
                                 f"{len(elements)} elements, not phi({modulus})")

@@ -1,16 +1,18 @@
 """Modular-arithmetic substrate: factorization, divisors, totients,
-2-adic valuations, multiplicative orders, power lists and coset
-transversals in the unit group.
+2-adic valuations, multiplicative orders, power lists, discrete logs and
+coset transversals in the unit group.
 
 Everything here is a pure function of its inputs.  Target scale is
 moduli up to about 10**6, where trial division is fast enough.  Every
 order is `mult_order`'s, every list of successive powers `power_list`'s;
-a coset transversal walks every coset but the last, as cycles x -> x * g.
+a discrete log takes O(sqrt(n)) steps (baby-step giant-step), and a
+coset transversal walks every coset but the last, as cycles x -> x * g.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Optional
 
 __all__ = [
     "factorize",
@@ -20,6 +22,7 @@ __all__ = [
     "mult_order_naive",
     "two_adic_valuation",
     "power_list",
+    "discrete_log",
     "coset_reps",
 ]
 
@@ -107,6 +110,32 @@ def power_list(g: int, count: int, mod: int) -> list[int]:
     return out
 
 
+def discrete_log(g: int, n: int, modulus: int) -> Callable[[int], Optional[int]]:
+    """The logarithm to base g, of order n, mod ``modulus``: a function
+    taking y to the e < n with g**e == y (mod modulus), or to None when y
+    is not a power of g (a non-unit never is).
+
+    Shanks's baby-step giant-step: the table of g**j, j < w = ceil(sqrt(n)),
+    is built here once; each call then steps y -> y * g**-w at most
+    ceil(n / w) times, until y lands in the table.  Exponents e = i*w + j
+    are met in increasing order, so the first hit is the e < n.
+    """
+    width = math.isqrt(n - 1) + 1
+    baby = dict(zip(power_list(g, width, modulus), range(width)))
+    giant = pow(g, -width, modulus)
+
+    def log(y: int) -> Optional[int]:
+        y %= modulus
+        for i in range(0, n, width):
+            j = baby.get(y)
+            if j is not None:
+                return i + j
+            y = y * giant % modulus
+        return None
+
+    return log
+
+
 def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """Ascending coset transversal of <generators> in the units mod modulus.
 
@@ -117,6 +146,10 @@ def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     The walk stops at phi/|H| representatives, |H| the order of a lone
     generator or else the first coset's size: the last is never walked.
     """
+    if not generators:
+        raise ValueError("coset_reps needs at least one generator, got ()")
+    if modulus < 1:
+        raise ValueError(f"coset_reps needs a modulus M >= 1, got M={modulus}")
     for g in generators:
         if math.gcd(g, modulus) != 1:
             raise ValueError(f"generator {g} is not a unit mod {modulus}")

@@ -18,10 +18,10 @@ from magset.cli import main
 from magset.constructions import (
     ConstructionError,
     _class_optimum,
-    _domain_wall_exponents,
-    _grid_cells,
-    _orbit_exponents,
+    _domain_wall_runs,
+    _grid_runs,
     _orbit_layer,
+    _orbit_runs,
     build_divisor_piece,
     build_eightfold,
     build_four_times_odd,
@@ -344,6 +344,45 @@ def test_domain_wall_branch_pieces():
     assert routed == [49, 127, 199, 329, 343, 353, 391, 449, 487, 497]
 
 
+def cells_of(runs):
+    """The cells (j, 2i + parity) of each run (j, parity, start, stop)."""
+    return [(j, 2 * i + parity) for j, parity, start, stop in runs
+            for i in range(start, stop)]
+
+
+def test_pieces_match_their_definition():
+    # build_divisor_piece read literally: {a * b**j * 3**e * r/d} over the
+    # reps a and the cells (j, e) of the pattern, b = d + 2 and each power
+    # taken by pow mod 2d, at q = 2d and q = 10d for every d < 1500.
+    labels = set()
+    for d in range(5, 1500):
+        if math.gcd(d, 6) != 1:
+            continue
+        ctx = divisor_context(d)
+        if ctx.two_in_three:
+            label, runs = _orbit_runs(ctx.n, ctx.s, ctx.m, ctx.k_prime,
+                                      ctx.r_prime)
+        else:
+            label, runs = _grid_runs(ctx.n, ctx.t, ctx.s)
+        labels.add(label)
+        factors = [pow(d + 2, j, 2 * d) * pow(3, e, 2 * d)
+                   for j, e in cells_of(runs)]
+        for r in (d, 5 * d):
+            where = f"d {d}, q {2 * r}, case {label}"
+            try:  # its own count check trips on a piece that collapses
+                piece = build_divisor_piece(d, 2 * r)
+            except ConstructionError as error:
+                pytest.fail(f"{where}: {error}")
+            want = {a * f % (2 * d) * (r // d) for a in ctx.reps for f in factors}
+            assert piece.case == label, where
+            assert piece.elements == want, (
+                f"{where}: missing {sorted(want - piece.elements)[:6]}, "
+                f"extra {sorted(piece.elements - want)[:6]}")
+    # 22 of the 30 labels; the other 8 are reached by no d < 1500.
+    assert len(labels) == 22
+    assert {"n-even/s-even/m=2", "n-even/s-even/2<r'<=m/k'=1"} <= labels
+
+
 def test_domain_wall_exponents_on_every_branch_shape():
     # n = 2m + r' with m, r' even and 4 <= r' <= m: every shape the branch
     # can receive, not only those of real divisors.  The size must be
@@ -355,8 +394,11 @@ def test_domain_wall_exponents_on_every_branch_shape():
             wall = min(max(abs(b * rp - a * m), abs(a + 2 * b))
                        for b in range(-rp - 1, rp + 2, 2)
                        for a in range(-rp - 2 * b, rp - 2 * b + 1, 2))
-            exps = _domain_wall_exponents(n, m)
+            runs = _domain_wall_runs(n, m)
+            exps = [e for _, e in cells_of(runs)]
             chosen = set(exps)
+            assert all(start <= stop for *_, start, stop in runs), (m, rp)
+            assert all(0 <= e < n for e in exps), (m, rp)
             assert len(chosen) == len(exps) == n // 2 - wall // 2, (m, rp)
             assert len(exps) >= m, (m, rp)
             assert all((e + 1) % n not in chosen and (e + m) % n not in chosen
@@ -371,8 +413,11 @@ def test_every_orbit_case_is_independent_in_its_circulant():
         for s in range(1, n):
             m = min(s, n - s)
             kp = n // (2 * m)
-            label, exps = _orbit_exponents(n, s, m, kp, n - 2 * kp * m)
+            label, runs = _orbit_runs(n, s, m, kp, n - 2 * kp * m)
+            exps = [e for _, e in cells_of(runs)]
             labels.add(label)
+            # the builder slices runs by length: none may be negative
+            assert all(start <= stop for *_, start, stop in runs), (n, s, label)
             chosen = {e % n for e in exps}
             assert len(chosen) == len(exps), (n, s, label)
             assert all((e + 1) % n not in chosen and (e + s) % n not in chosen
@@ -386,8 +431,10 @@ def test_every_grid_case_is_independent_in_its_twisted_grid():
     for n in range(2, 61):
         for t in range(2, 13):
             for s in range(n):
-                label, cells = _grid_cells(n, t, s)
+                label, runs = _grid_runs(n, t, s)
+                cells = cells_of(runs)
                 labels.add(label)
+                assert all(start <= stop for *_, start, stop in runs), (n, t, s, label)
                 chosen = set(cells)
                 assert len(chosen) == len(cells), (n, t, s, label)
                 for j, e in chosen:

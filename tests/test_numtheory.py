@@ -7,6 +7,7 @@ import pytest
 
 from magset.numtheory import (
     coset_reps,
+    discrete_log,
     divisors,
     euler_phi,
     factorize,
@@ -106,6 +107,27 @@ def test_power_list_matches_pow():
                     [pow(g, e, mod) for e in range(count)], (g, count, mod)
 
 
+# -- discrete logs -----------------------------------------------------------
+
+def test_discrete_log_matches_brute_force():
+    # Every y mod M, M <= 400, for the base 3 (M prime to 3, odd and even)
+    # and the base 2 (odd M): the first e with g**e == y, or None for
+    # non-units and units outside <g>.
+    for modulus in range(1, 401):
+        for g in (3, 2):
+            if math.gcd(g, modulus) != 1:
+                continue
+            n = mult_order_naive(g, modulus)
+            first = {}
+            for e in range(n):
+                first.setdefault(pow(g, e, modulus), e)
+            log = discrete_log(g, n, modulus)
+            for y in range(modulus):
+                assert log(y) == first.get(y), (g, modulus, y)
+            assert log(-1) == first.get(modulus - 1), (g, modulus)
+            assert log(modulus + 1) == first.get(1 % modulus), (g, modulus)
+
+
 # -- coset transversals ------------------------------------------------------
 
 def brute_subgroup(generators, modulus):
@@ -139,6 +161,14 @@ def test_coset_reps_rejects_non_unit_generator():
         coset_reps((2,), 10)
     with pytest.raises(ValueError):
         coset_reps((3, 11), 22)
+
+
+def test_coset_reps_rejects_no_generators_and_bad_modulus():
+    with pytest.raises(ValueError, match=r"at least one generator, got \(\)"):
+        coset_reps((), 10)
+    for modulus in (0, -5):
+        with pytest.raises(ValueError, match=f"M >= 1, got M={modulus}"):
+            coset_reps((3,), modulus)
 
 
 @pytest.mark.parametrize("modulus", [10, 22, 38, 110, 146, 190, 386])
