@@ -28,12 +28,13 @@ module builds such sets of maximum known size for ``q = 2**k * r`` with
   those of the ``q = 4r`` set: ``alpha = a * r/d`` is odd, powers of 3
   are odd, and the twist ``level * r`` is even.
 
-Every route ends in one assembly step that verifies the whole set
-before it is reported; a failure raises :class:`ConstructionError`
-rather than returning a bad set.  Pieces are checked only inside that
-union: a ``q = 2r`` piece is valid at ``q`` exactly when its pattern is
-valid at ``2d``, since scaling by ``r/d`` maps conflicts to conflicts
-both ways.
+Every piece is a union of rays x * 9**i mod q, all listed by one
+function (:func:`_expand`).  Every route ends in one assembly step that
+verifies the whole set before it is reported; a failure raises
+:class:`ConstructionError` rather than returning a bad set.  Pieces are
+checked only inside that union: a ``q = 2r`` piece is valid at ``q``
+exactly when its pattern is valid at ``2d``, since scaling by ``r/d``
+maps conflicts to conflicts both ways.
 
 Every pattern piece is valid, but not every piece is maximum in its
 class.  Against an independent exact search, construct matches the true
@@ -162,8 +163,8 @@ def divisor_context(d: int) -> DivisorContext:
 # --------------------------------------------------------------------------
 # Both pattern families are written as runs (j, parity, start, stop): the
 # cells (j, 2i + parity) for start <= i < stop.  Family A has the one row
-# j = 0.  build_divisor_piece turns each run into powers of 9 times the
-# run's first element; no pattern lists the orbit of 3.
+# j = 0.  build_divisor_piece makes each run one ray of _expand per coset
+# representative; no pattern lists the orbit of 3.
 #
 # Pattern family A: 2 lies in the orbit of 3 mod d.
 #
@@ -494,6 +495,25 @@ def _assemble(instance: Instance, pieces: list[Piece],
     )
 
 
+def _expand(q: int, rays: list[tuple[int, int]]) -> frozenset[int]:
+    """{x * 9**i mod q : (x, count) in rays, i < count}, a piece's elements.
+
+    A pattern run and an orbit layer's even or odd powers of 3 are each
+    9**i times their first.  The powers 9**i are listed once, by a
+    running product; a ray with x = 1 is a slice of that list, any other
+    one multiply pass over it.  A repeat raises ConstructionError.
+    """
+    nines = power_list(9, max((count for _, count in rays), default=0), q)
+    listed: list[int] = []
+    for x, count in rays:
+        run = nines[:count]
+        listed += run if x == 1 else [x * p % q for p in run]
+    elements = frozenset(listed)
+    if len(elements) != len(listed):
+        raise ConstructionError(f"rays list a residue twice at q={q}")
+    return elements
+
+
 # --------------------------------------------------------------------------
 # q = 2r
 # --------------------------------------------------------------------------
@@ -509,12 +529,9 @@ def build_divisor_piece(d: int, q: int) -> Piece:
     goes into is (see :func:`build_twice_odd`).
 
     The elements are {a * b**j * 3**e mod 2d * r/d} over the reps a and
-    the cells (j, e) of the pattern's runs, b = d + 2.  A run's cells are
-    e = 2i + parity, start <= i < stop, so for each rep a it is one
-    running product of 9: the powers 9**i, i < stop - start, listed once
-    per piece, times a * b**j * 3**(2*start + parity) mod 2d and scaled by
-    r/d in the same pass.  A run that starts at 1 with scale 1 is a slice
-    of that list.  Every element is listed once, which is checked.
+    the cells (j, e) of the pattern's runs, b = d + 2.  Since
+    (y mod 2d) * r/d = y * r/d mod q, each run and rep a is one ray of
+    :func:`_expand`, from a * b**j * 3**(2*start + parity) * r/d mod q.
 
     The piece is ``certified`` when it meets the counting bound of its
     class.  Take a member x of V_d mod 2d, the residues prime to d; its
@@ -537,22 +554,10 @@ def build_divisor_piece(d: int, q: int) -> Piece:
         label, runs = _orbit_runs(ctx.n, ctx.s, ctx.m, ctx.k_prime, ctx.r_prime)
     else:
         label, runs = _grid_runs(ctx.n, ctx.t, ctx.s)
-    # x * r/d < q for x < 2d: scaling neither wraps nor collides.
-    qd, scale = 2 * d, r // d
-    nines = power_list(9, max(stop - start for *_, start, stop in runs), qd)
-    listed: list[int] = []
-    for j, parity, start, stop in runs:
-        first = pow(d + 2, j, qd) * pow(3, 2 * start + parity, qd) % qd
-        run = nines[:stop - start]
-        for a in ctx.reps:
-            x = a * first % qd
-            listed += run if x == 1 and scale == 1 else [
-                x * p % qd * scale for p in run]
-    elements = frozenset(listed)
-    if len(elements) != len(listed):
-        raise ConstructionError(
-            f"pattern for d={d} produced {len(elements)} elements, "
-            f"expected {len(listed)} (case {label})")
+    firsts = [(pow(d + 2, j, q) * pow(3, 2 * start + parity, q) * (r // d) % q,
+               stop - start) for j, parity, start, stop in runs]
+    elements = _expand(q, [(a * first % q, count) for first, count in firsts
+                           for a in ctx.reps])
     return Piece(d=d, case=label, elements=elements,
                  certified=2 * len(elements) == euler_phi(d) or ctx.m == 2)
 
@@ -635,10 +640,8 @@ def _orbit_layer(q: int, level: int, r: int, d: int) -> tuple[int, frozenset[int
     The order n' of 3 mod 2M is n or 2n, told apart by one power: M is
     even, so x == 1 (mod M) gives x**2 == 1 (mod 2M), and n | n' | 2n;
     n' = n exactly when 3**n == 1 (mod 2M).  Each case gives n elements
-    per coset, phi(M) in all, which is checked.  Both kinds are built
-    from one list of the powers 9**i: 3**(2i+1) * beta is
-    9**i * (3 * beta mod q), and where alpha = 1 (a = 1 and d = r) the
-    even powers are that list itself, with no multiply pass.
+    per coset, phi(M) in all, which is checked; a coset is two rays of
+    :func:`_expand`, from alpha and from the first odd power.
     """
     modulus = level * d
     n = mult_order(3, modulus)
@@ -648,16 +651,11 @@ def _orbit_layer(q: int, level: int, r: int, d: int) -> tuple[int, frozenset[int
         case, evens, twist, odd_from = 1, n // 2, level * r, 0
     else:
         case, evens, twist, odd_from = 2, n // 2, 0, n // 2
-    odds = n - evens
-    nines = power_list(9, max(evens, odd_from + odds), q)
-    even_powers, odd_nines = nines[:evens], nines[odd_from:odd_from + odds]
-    scale, listed = r // d, []
+    scale, shift, rays = r // d, 3 * pow(9, odd_from, q), []
     for a in coset_reps((3,), modulus):
         alpha = a * scale % q
-        beta = 3 * (alpha + twist) % q
-        listed += even_powers if alpha == 1 else [p * alpha % q for p in even_powers]
-        listed += [p * beta % q for p in odd_nines]
-    elements = frozenset(listed)
+        rays += [(alpha, evens), (shift * (alpha + twist) % q, n - evens)]
+    elements = _expand(q, rays)
     if len(elements) != euler_phi(modulus):
         raise ConstructionError(f"piece of d={d} at q={q} has "
                                 f"{len(elements)} elements, not phi({modulus})")

@@ -144,7 +144,8 @@ def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     Its coset is walked as cycles x -> x * g of the first generator g: one
     from the representative, one from each start times a later generator.
     The walk stops at phi/|H| representatives, |H| the order of a lone
-    generator or else the first coset's size: the last is never walked.
+    generator or else the first coset's size: the last is never walked
+    (nor struck, when a lone generator spans the units).
     """
     if not generators:
         raise ValueError("coset_reps needs at least one generator, got ()")
@@ -153,13 +154,13 @@ def coset_reps(generators: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     for g in generators:
         if math.gcd(g, modulus) != 1:
             raise ValueError(f"generator {g} is not a unit mod {modulus}")
-    if modulus == 1:
+    units = euler_phi(modulus)
+    size = mult_order(generators[0], modulus) if len(generators) == 1 else 0
+    if modulus == 1 or size == units:  # one coset, nothing to strike
         return (1,)
     covered = bytearray(modulus)
     for p, _ in factorize(modulus):
         covered[::p] = b"\x01" * len(range(0, modulus, p))
-    units = euler_phi(modulus)
-    size = mult_order(generators[0], modulus) if len(generators) == 1 else 0
     reps, g, others = [1], generators[0], generators[1:]
     while len(reps) * size < units:
         starts = [reps[-1]]

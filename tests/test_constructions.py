@@ -19,6 +19,7 @@ from magset.constructions import (
     ConstructionError,
     _class_optimum,
     _domain_wall_runs,
+    _expand,
     _grid_runs,
     _orbit_layer,
     _orbit_runs,
@@ -519,6 +520,20 @@ def test_orbit_layer_matches_its_definition():
                     f"extra {sorted(elements - want)[:6]}")
                 seen.add(case)
     assert seen == {0, 1, 2}
+
+
+def test_expand_lists_rays_and_refuses_a_repeat():
+    # 9 has order 5 mod 22: its powers are 1, 9, 15, 3, 5.
+    assert _expand(22, []) == frozenset()
+    assert _expand(22, [(1, 3), (7, 2), (13, 0)]) == {1, 9, 15, 7, 19}
+    rays = [(1, 2), (7, 3), (13, 1)]
+    assert _expand(22, rays) == {x * pow(9, i, 22) % 22
+                                 for x, count in rays for i in range(count)}
+    for rays in ([(1, 3), (5, 2)],  # 5 * 9 == 1
+                 [(7, 6)],          # one ray past the order of 9
+                 [(3, 1), (3, 1)]):
+        with pytest.raises(ConstructionError, match="q=22"):
+            _expand(22, rays)
 
 
 def test_eightfold_validates_base():
