@@ -184,7 +184,7 @@ def _table_rows(max_p: int, oracle: bool) -> tuple[list[list[str]], list[list[st
             exact = exact_max(2 * p, 4)
             gap = "TIGHT" if exact.max_size == piece.size else "GAP"
             extra = [str(exact.max_size), gap]
-        if ctx.two_in_three:
+        if ctx.t == 1:
             # In the even-order/odd-shift case the pattern uses neither
             # k' nor r'; print dashes there, as the reference tables do.
             dashes = ctx.n % 2 == 0 and ctx.s % 2 == 1
@@ -281,37 +281,45 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and the resulting codes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    def option(*args, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser holding one option, for add()'s parents."""
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*args, **kwargs)
+        return p
+
+    q = option("--q", type=_positive, required=True, help="modulus")
+    lam = option("--lambda", dest="lam", type=_positive, default=4,
+                 help="magnitude bound (default 4)")
+    row = option("--set", type=_csv_ints, required=True,
+                 help="parity row (a valid set), e.g. --set=1,9,13,17")
+    as_json = option("--json", action="store_true",
+                     help="emit the report or result record as JSON")
+
+    def add(name: str, handler, help_: str,
+            *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_, description=help_,
+                           parents=parents)
         p.set_defaults(handler=handler, parser=p)
         return p
 
-    p = add("construct", _cmd_construct,
-            "build a maximal valid set for modulus q")
-    p.add_argument("--q", type=_positive, required=True,
-                   help="modulus, of the form 2^k * r with gcd(r, 6) = 1")
-    p.add_argument("--json", action="store_true",
-                   help="emit the full report as JSON")
+    add("construct", _cmd_construct,
+        "build a maximal valid set for modulus q = 2^k * r with "
+        "gcd(r, 6) = 1", q, as_json)
 
-    p = add("verify", _cmd_verify, "check a set; exit 0 valid, 1 invalid")
-    p.add_argument("--q", type=_positive, required=True, help="modulus")
-    p.add_argument("--lambda", dest="lam", type=_positive, default=4,
-                   help="magnitude bound (default 4)")
+    p = add("verify", _cmd_verify, "check a set; exit 0 valid, 1 invalid",
+            q, lam)
     p.add_argument("--set", type=_csv_ints, required=True,
                    help="comma-separated residues, e.g. --set=1,5,8,9")
 
-    p = add("search", _cmd_search,
-            "exhaustive maximum-size search for modulus q")
-    p.add_argument("--q", type=_positive, required=True, help="modulus")
-    p.add_argument("--lambda", dest="lam", type=_positive, default=4,
-                   help="magnitude bound (default 4)")
-    p.add_argument("--budget", type=_positive, default=None,
-                   help="search-node budget (default 10^8)")
-    p.add_argument("--cache", default=None, metavar="FILE",
-                   help="JSONL result cache (default ./magset-cache.jsonl, "
-                        "or $MAGSET_CACHE)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the result record as JSON")
+    # search's own options are parents too, so --json stays last in usage
+    add("search", _cmd_search,
+        "exhaustive maximum-size search for modulus q", q, lam,
+        option("--budget", type=_positive, default=None,
+               help="search-node budget (default 10^8)"),
+        option("--cache", default=None, metavar="FILE",
+               help="JSONL result cache (default ./magset-cache.jsonl, "
+                    "or $MAGSET_CACHE)"),
+        as_json)
 
     p = add("table", _cmd_table,
             "reproduce the per-prime pattern tables for moduli 2p")
@@ -324,32 +332,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--md", action="store_true",
                    help="emit GitHub-flavored markdown")
 
-    p = add("bound", _cmd_bound, "print the packing upper bound")
-    p.add_argument("--q", type=_positive, required=True, help="modulus")
-    p.add_argument("--lambda", dest="lam", type=_positive, default=4,
-                   help="magnitude bound (default 4)")
+    add("bound", _cmd_bound, "print the packing upper bound", q, lam)
 
-    p = add("encode", _cmd_encode, "encode a message word")
-    p.add_argument("--q", type=_positive, required=True, help="modulus")
-    p.add_argument("--set", type=_csv_ints, required=True,
-                   help="parity row (a valid set), e.g. --set=1,9,13,17")
+    p = add("encode", _cmd_encode, "encode a message word", q, row)
     p.add_argument("--message", type=_csv_ints, required=True,
                    help="comma-separated message symbols (length |set| - 1);"
                         " a leading '-' needs the = form: --message=-1,0,0")
 
-    p = add("decode", _cmd_decode, "decode/correct a received word")
-    p.add_argument("--q", type=_positive, required=True, help="modulus")
-    p.add_argument("--set", type=_csv_ints, required=True,
-                   help="parity row (a valid set), e.g. --set=1,9,13,17")
+    p = add("decode", _cmd_decode, "decode/correct a received word", q, row)
     p.add_argument("--word", type=_csv_ints, required=True,
                    help="received word, length |set|; a leading '-' needs "
                         "the = form: --word=-11,-18,0,0")
 
     p = add("simulate", _cmd_simulate,
-            "random single-error channel simulation (prints JSON stats)")
-    p.add_argument("--q", type=_positive, required=True, help="modulus")
-    p.add_argument("--set", type=_csv_ints, required=True,
-                   help="parity row (a valid set), e.g. --set=1,9,13,17")
+            "random single-error channel simulation (prints JSON stats)",
+            q, row)
     p.add_argument("--trials", type=_count, required=True,
                    help="number of independent trials")
     p.add_argument("--seed", type=int, default=0,

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .verifier import _checked, format_witness, is_b1_set
+from .verifier import _checked, _integers, format_witness, is_b1_set
 
 __all__ = [
     "LinearCode",
@@ -109,7 +109,7 @@ def make_code(elements: Iterable[int], q: int, lam: int = 4) -> LinearCode:
     distinct nonzero keys, so building the table checks the set.  A
     rejected set is swept by `is_b1_set`, whose witness the error names.
     """
-    row = _checked(elements, q, lam)
+    row = _checked(_integers(elements, q, lam), q)
     table = {e * b % q: (e, i)
              for i, b in enumerate(row) for e in range(1, lam + 1)}
     if len(table) != lam * len(row) or 0 in table:

@@ -10,23 +10,24 @@ module builds such sets of maximum known size for ``q = 2**k * r`` with
 * ``q = 2r``   -- a union of per-divisor pieces, one for each divisor
   ``d`` of ``r``.  Each piece lives inside the class ``V_d`` of residues
   whose odd part has gcd-cofactor ``d`` and is produced by an explicit
-  pattern over the orbit structure of 3 (and, where needed, of 2) in the
-  units mod ``2d``.  A piece that meets the counting bound
-  ``phi(d)/2`` of its class is maximum there (see
-  :func:`build_divisor_piece`); the rest are lower bounds, which
-  ``exact_max(2d)`` restricted to ``V_d`` certifies or improves while
-  the class is small.
+  pattern over the orbit of 3 in the units mod ``2d``: family A if 2
+  lies in it (``t = 1``), else B (:class:`DivisorContext`).  A piece
+  that meets the counting bound ``phi(d)/2`` of its class is maximum
+  there (see :func:`build_divisor_piece`); the rest are lower bounds,
+  which ``exact_max(2d)`` restricted to ``V_d`` certifies or improves
+  while the class is small.
 * ``q = 4r``   -- an exactly maximum set of size ``r - 1`` (this meets
   the counting upper bound ``floor((q-1)/4)``): the layer's orbit
   pieces below at ``M = 2d``, one per divisor ``d > 1`` of ``r``.
 * ``q = 2**k r`` with ``k >= 3`` -- a recursion: a layer of
   ``2**(k-3) * r`` new elements is united with ``8 * S`` where ``S`` is
-  a constructed set for modulus ``q / 8``.  The layer holds one orbit
-  piece of 3 per divisor ``d`` of ``r`` at ``M = 2**(k-2) * d`` (see
-  :func:`_orbit_layer`); its size is exact, so the result is maximum
-  exactly when the recursive base is.  Its elements are odd, as are
-  those of the ``q = 4r`` set: ``alpha = a * r/d`` is odd, powers of 3
-  are odd, and the twist ``level * r`` is even.
+  a constructed set for modulus ``q / 8``, whose k + 3 and r are the
+  layer's.  The layer holds one orbit piece of 3 per divisor ``d`` of
+  ``r`` at ``M = 2**(k-2) * d`` (see :func:`_orbit_layer`); its size is
+  exact, so the result is maximum exactly when the recursive base is.
+  Its elements are odd, as are those of the ``q = 4r`` set:
+  ``alpha = a * r/d`` is odd, powers of 3 are odd, and the twist
+  ``level * r`` is even.
 
 Every piece is a union of rays x * 9**i mod q, all listed by one
 function (:func:`_expand`).  Every route ends in one assembly step that
@@ -101,31 +102,28 @@ class DivisorContext:
     """Orbit parameters of one divisor d (gcd(d,6)=1, d >= 5).
 
     ``n`` is the multiplicative order of 3 mod d (equal to its order mod
-    2d).  The pattern family splits on whether 2 lies in the subgroup
-    generated by 3:
+    2d), and ``t`` is the index ``|<2,3>| / |<3>|`` mod d, the least t
+    with 2**t in <3>.  The pattern family splits on whether 2 itself lies
+    in <3>:
 
-    * ``two_in_three`` -- then ``s`` solves ``3**s == 2 (mod d)`` with
+    * family A, ``t == 1`` -- ``s`` solves ``3**s == 2 (mod d)`` with
       ``1 <= s <= n - 1``;  ``m = min(s, n - s)``, and ``n`` splits as
       ``n = 2 * k_prime * m + r_prime`` with ``0 <= r_prime < 2m``.
       ``reps`` is a transversal of the cosets of <3> in the units mod 2d.
-    * otherwise -- ``t`` is the index ``|<2,3>| / |<3>|`` mod d, ``b``
-      is the odd lift ``d + 2`` of 2, ``s`` is the unique exponent in
-      ``[0, n-1]`` with ``2**t * 3**s == 1 (mod d)``, and ``reps`` is a
-      transversal of the cosets of <3, b> in the units mod 2d.
-
-    Unused parameters of the other family are None.
+    * family B, ``t >= 2`` -- ``s`` is the unique exponent in ``[0, n-1]``
+      with ``2**t * 3**s == 1 (mod d)``, and ``reps`` is a transversal of
+      the cosets of <3, d + 2> in the units mod 2d (d + 2 is the odd lift
+      of 2).  ``m``, ``k_prime`` and ``r_prime`` are None.
     """
 
     d: int
     n: int
-    two_in_three: bool
+    t: int
     s: int
     reps: tuple[int, ...]
     m: Optional[int] = None
     k_prime: Optional[int] = None
     r_prime: Optional[int] = None
-    t: Optional[int] = None
-    b: Optional[int] = None
 
 
 def divisor_context(d: int) -> DivisorContext:
@@ -146,18 +144,13 @@ def divisor_context(d: int) -> DivisorContext:
     t, two_t = 1, 2
     while (e := log(two_t)) is None:
         t, two_t = t + 1, two_t * 2 % d
-    if t == 1:
-        m = min(e, n - e)
-        k_prime = n // (2 * m)
-        ctx = DivisorContext(d=d, n=n, two_in_three=True, s=e,
-                             reps=coset_reps((3,), 2 * d), m=m,
-                             k_prime=k_prime, r_prime=n - 2 * k_prime * m)
-    else:
-        ctx = DivisorContext(d=d, n=n, two_in_three=False, s=-e % n,
-                             reps=coset_reps((3, d + 2), 2 * d), t=t, b=d + 2)
-    if len(ctx.reps) * t * n != euler_phi(d):
+    reps = coset_reps((3,) if t == 1 else (3, d + 2), 2 * d)
+    if len(reps) * t * n != euler_phi(d):
         raise ConstructionError(f"coset count mismatch for d={d}")
-    return ctx
+    if t > 1:
+        return DivisorContext(d, n, t, -e % n, reps)
+    m = min(e, n - e)
+    return DivisorContext(d, n, t, e, reps, m, n // (2 * m), n % (2 * m))
 
 
 # --------------------------------------------------------------------------
@@ -166,7 +159,7 @@ def divisor_context(d: int) -> DivisorContext:
 # j = 0.  build_divisor_piece makes each run one ray of _expand per coset
 # representative; no pattern lists the orbit of 3.
 #
-# Pattern family A: 2 lies in the orbit of 3 mod d.
+# Pattern family A (t = 1): 2 lies in the orbit of 3 mod d.
 #
 # One piece is a set of exponents E; the piece elements are
 # {a * 3**e mod 2d : a in reps, e in E}.  Conflicts between exponents of
@@ -278,7 +271,7 @@ def _orbit_runs(n: int, s: int, m: int, k_prime: int,
 
 
 # --------------------------------------------------------------------------
-# Pattern family B: 2 does not lie in the orbit of 3 mod d.
+# Pattern family B (t >= 2): 2 does not lie in the orbit of 3 mod d.
 #
 # One piece is a set of cells (j, e); the piece elements are
 # {a * b**j * 3**e mod 2d : a in reps, (j, e) in cells} with b = d + 2.
@@ -550,7 +543,7 @@ def build_divisor_piece(d: int, q: int) -> Piece:
             f"build_divisor_piece needs q = 2r, d | r, gcd(r,6)=1; "
             f"got d={d}, q={q}")
     ctx = divisor_context(d)
-    if ctx.two_in_three:
+    if ctx.t == 1:
         label, runs = _orbit_runs(ctx.n, ctx.s, ctx.m, ctx.k_prime, ctx.r_prime)
     else:
         label, runs = _grid_runs(ctx.n, ctx.t, ctx.s)
@@ -686,9 +679,9 @@ def build_four_times_odd(r: int) -> ConstructionReport:
     return _assemble(instance, pieces)
 
 
-def build_eightfold(k: int, r: int,
-                    base: ConstructionReport) -> ConstructionReport:
-    """Valid set for q = 2**k r from one for q/8: new layer plus 8*base.
+def build_eightfold(base: ConstructionReport) -> ConstructionReport:
+    """Valid set for q = 2**k r from the report ``base`` for q/8, whose
+    k + 3 and r are k and r: new layer plus 8*base.
 
     The new layer holds, for each divisor d of r, the orbit piece of
     :func:`_orbit_layer` at M = 2**(k-2) d, with phi(M) elements; they
@@ -700,13 +693,9 @@ def build_eightfold(k: int, r: int,
     The layer size being exact, the result is maximum precisely when the
     base is (tight = base.tight).
     """
-    if k < 3:
-        raise ConstructionError(f"eightfold recursion needs k >= 3, got {k}")
+    k, r = base.instance.k + 3, base.instance.r
     instance = _instance(k, r)
     q = instance.q
-    if base.instance.q * 8 != q:
-        raise ConstructionError(
-            f"base modulus {base.instance.q} is not q/8 = {q // 8}")
     pieces: list[Piece] = []
     for d in divisors(r):
         case, elements = _orbit_layer(q, 1 << (k - 2), r, d)
@@ -752,9 +741,8 @@ def construct(q: int, *,
     elif k == 2:
         report = build_four_times_odd(r)
     else:
-        base = construct(q >> 3, budget=budget)
-        report = build_eightfold(k, r, base)
-    if k % 3 == 2 and k >= 2:
+        report = build_eightfold(construct(q >> 3, budget=budget))
+    if k % 3 == 2:
         closed_form = (q + 3 * r - 7) // 7
         if report.size != closed_form:
             raise ConstructionError(

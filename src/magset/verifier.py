@@ -17,8 +17,8 @@ Measured at lam = 2..6 with q near 10**5 and 10**6, the two cost the
 same at |B| ~ q/48 (q/32 when 12 divides q), whatever lam, and the
 lanes are 3 to 5 times faster at |B| ~ q/8.  The lanes read the input
 unsorted and refuse anything out of range or repeated; the blocks sort
-it as integers in `_checked`, which `codec.make_code` shares and which
-names the fault.  An entry that `operator.index` refuses raises
+the ints of `_integers` in `_checked`, which `codec.make_code` shares and
+which names the fault.  An entry that `operator.index` refuses raises
 TypeError.
 """
 
@@ -64,8 +64,9 @@ def _integers(elements: Iterable[int], q: int, lam: int) -> list[int]:
         raise
 
 
-def _checked(elements: Iterable[int], q: int, lam: int) -> list[int]:
-    elems = _integers(elements, q, lam)
+def _checked(elems: list[int], q: int) -> list[int]:
+    """Sort the ints that `_integers` returned, in place, and return them
+    once they are known to be distinct residues in [1, q)."""
     elems.sort()
     if elems and not 1 <= elems[0] <= elems[-1] < q:
         bad = elems[bisect.bisect_right(elems, q - 1) if elems[0] > 0 else 0]
@@ -100,7 +101,7 @@ def is_b1_set(elements: Iterable[int], q: int, lam: int = 4) -> Verdict:
     ints = _integers(elements, q, lam)
     if q <= _DENSE * len(ints) and _lanes_disjoint(ints, q, lam):
         return Verdict(True, None)
-    elems = _checked(ints, q, lam)
+    elems = _checked(ints, q)
     seen = {0}
     for start in range(0, len(elems), _BLOCK):
         block = elems[start:start + _BLOCK]
@@ -189,7 +190,7 @@ def _member(elems: list[int], x: int, stop: int) -> bool:
 
 def is_b1_set_reference(elements: Iterable[int], q: int, lam: int = 4) -> Verdict:
     """Independent hash-map implementation used for cross-checking."""
-    elems = _checked(elements, q, lam)
+    elems = _checked(_integers(elements, q, lam), q)
     seen: dict[int, tuple[int, int]] = {}
     for b in elems:
         for e in range(1, lam + 1):

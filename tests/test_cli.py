@@ -117,11 +117,34 @@ def test_verify_parse_error(capsys):
 @pytest.mark.parametrize("argv,message", [
     (("bound", "--q", "0"), "must be >= 1, got 0"),
     (("verify", "--q", "9", "--set=,,"), "not a comma-separated integer list"),
+    (("construct", "--q", "0"), "must be >= 1, got 0"),
+    (("verify", "--q", "0", "--set", "1"), "must be >= 1, got 0"),
+    (("search", "--q", "0"), "must be >= 1, got 0"),
+    (("encode", "--q", "0", "--set", "1", "--message", "0"), "must be >= 1, got 0"),
+    (("decode", "--q", "0", "--set", "1", "--word", "0"), "must be >= 1, got 0"),
+    (("simulate", "--q", "0", "--set", "1", "--trials", "1"), "must be >= 1, got 0"),
 ])
 def test_usage_error_on_a_bad_argument_value(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command,options", [
+    ("construct", ["--q", "--json"]),
+    ("verify", ["--q", "--lambda", "--set"]),
+    ("search", ["--q", "--lambda", "--budget", "--cache", "--json"]),
+    ("table", ["--family", "--max-p", "--oracle", "--md"]),
+    ("bound", ["--q", "--lambda"]),
+    ("encode", ["--q", "--set", "--message"]),
+    ("decode", ["--q", "--set", "--word"]),
+    ("simulate", ["--q", "--set", "--trials", "--seed", "--error-rate"]),
+])
+def test_subcommand_help_names_every_option(capsys, command, options):
+    code, out, err = run(capsys, command, "--help")
+    assert code == 0 and err == ""
+    named = {word.strip("[],") for word in out.split()}
+    assert set(options) <= named, (command, options, out)
 
 
 def test_verify_domain_error_is_exit_1(capsys):

@@ -57,28 +57,28 @@ def test_hamming_upper_bound():
 
 def test_divisor_context_circulant_family():
     ctx = divisor_context(5)
-    assert ctx.two_in_three
+    assert ctx.t == 1
     assert (ctx.n, ctx.s, ctx.m, ctx.k_prime, ctx.r_prime) == (4, 3, 1, 2, 0)
     assert ctx.reps == (1,)
 
 
 def test_divisor_context_grid_family():
     ctx = divisor_context(11)
-    assert not ctx.two_in_three
-    assert (ctx.n, ctx.t, ctx.s, ctx.b) == (5, 2, 1, 13)
+    assert ctx.t != 1
+    assert (ctx.n, ctx.t, ctx.s) == (5, 2, 1)
     assert len(ctx.reps) == 1
 
 
 def test_divisor_context_matches_frozen_tables():
     for p, n, m, kp, rp, *_ in TABLE_CIRCULANT:
         ctx = divisor_context(p)
-        assert ctx.two_in_three
+        assert ctx.t == 1
         assert (ctx.n, ctx.m) == (n, m), p
         if kp is not None:
             assert (ctx.k_prime, ctx.r_prime) == (kp, rp), p
     for p, n, t, s, n_cosets, *_ in TABLE_GRID:
         ctx = divisor_context(p)
-        assert not ctx.two_in_three
+        assert ctx.t != 1
         assert (ctx.n, ctx.t, len(ctx.reps)) == (n, t, n_cosets), p
         if p == 73:
             assert ctx.s == HONEST_73["s"]  # fixture row is non-canonical
@@ -95,8 +95,8 @@ def test_divisor_context_matches_brute_force():
         ctx = divisor_context(d)
         n = mult_order_naive(3, d)
         orbit = {pow(3, e, d) for e in range(n)}
-        assert ctx.n == n and ctx.two_in_three == (2 in orbit), d
-        if ctx.two_in_three:
+        assert ctx.n == n and (ctx.t == 1) == (2 in orbit), d
+        if ctx.t == 1:
             s = next(e for e in range(1, n) if pow(3, e, d) == 2)
             assert ctx.s == s, d
             assert ctx.m == min(s, n - s), d
@@ -107,7 +107,7 @@ def test_divisor_context_matches_brute_force():
             t = next(t for t in range(1, d) if pow(2, t, d) in orbit)
             s = next(e for e in range(n)
                      if pow(2, t, d) * pow(3, e, d) % d == 1)
-            assert (ctx.t, ctx.s, ctx.b) == (t, s, d + 2), d
+            assert (ctx.t, ctx.s) == (t, s), d
         phi = sum(1 for x in range(1, d) if math.gcd(x, d) == 1)
         assert len(ctx.reps) * t * n == phi, d
         assert ctx.reps[0] == 1 and list(ctx.reps) == sorted(set(ctx.reps)), d
@@ -360,7 +360,7 @@ def test_pieces_match_their_definition():
         if math.gcd(d, 6) != 1:
             continue
         ctx = divisor_context(d)
-        if ctx.two_in_three:
+        if ctx.t == 1:
             label, runs = _orbit_runs(ctx.n, ctx.s, ctx.m, ctx.k_prime,
                                       ctx.r_prime)
         else:
@@ -536,11 +536,17 @@ def test_expand_lists_rays_and_refuses_a_repeat():
             _expand(22, rays)
 
 
-def test_eightfold_validates_base():
-    with pytest.raises(ConstructionError):
-        build_eightfold(3, 5, construct(20))  # base modulus must be q/8
-    with pytest.raises(ConstructionError, match="needs k >= 3, got 2"):
-        build_eightfold(2, 5, construct(10))
+def test_eightfold_takes_k_and_r_from_its_base():
+    # Odd bases (a search witness), k = 1 bases (divisor pieces, 118 with
+    # a "+search" piece) and a k = 2 base (orbit pieces).
+    for base_q in (5, 61, 10, 118, 20):
+        base = construct(base_q)
+        report = build_eightfold(base)
+        inst = report.instance
+        assert (inst.q, inst.k, inst.r) == (
+            8 * base_q, base.instance.k + 3, base.instance.r), base_q
+        assert report.base is base
+        assert report.to_json_dict() == construct(8 * base_q).to_json_dict(), base_q
 
 
 def test_builders_refuse_r_sharing_a_factor_with_6():
